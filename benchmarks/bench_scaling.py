@@ -2,15 +2,15 @@
 
 Not a paper table — engineering benchmarks for the substrate: LPM trie
 lookups, trace sanitization, neighbor-set extraction, the full MAP-IT
-loop, and the ``repro.perf`` execution layer (the fused streaming
-loader behind ``--jobs``, and the binary parsed-bundle cache) on the
-dense preset.
+loop, and the ``repro.perf`` execution layer (the columnar load path
+behind ``--jobs``, and the binary parsed-bundle cache) on the dense
+preset.
 
 Standalone mode::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py --smoke
 
-times ``jobs=1`` against ``jobs=4`` end-to-end (fused path), asserts
+times ``jobs=1`` against ``jobs=4`` end-to-end (columnar load), asserts
 byte-identity, and exits non-zero when ``jobs=4`` runs slower than
 ``jobs=1`` by more than ``--tolerance`` (default 1.10, i.e. parallel
 overhead must stay within 10% even on a single-CPU runner).
@@ -83,7 +83,7 @@ def test_mapit_full_run(benchmark, paper_experiment):
 
 def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
     """End-to-end sweep of the perf layer on the dense preset: worker
-    counts 1/2/4/8 through the fused streaming loader, plus binary
+    counts 1/2/4/8 through the columnar load path, plus binary
     cache cold/warm, asserting every configuration reproduces the
     serial result byte-for-byte and publishing the timings (with the
     host's CPU count — speedups are physically capped by it) to
@@ -102,7 +102,7 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
     trace_count = 0
     for jobs in (1, 2, 4, 8):
         start = time.perf_counter()
-        bundle = load_bundle(root, jobs=jobs, graph_only=True)
+        bundle = load_bundle(root, jobs=jobs)
         loaded = time.perf_counter()
         result = bundle.run_mapit(config, jobs=jobs)
         done = time.perf_counter()
@@ -124,7 +124,7 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
     cache = root.parent / "cache"
     for label in ("cache cold", "cache warm"):
         start = time.perf_counter()
-        bundle = load_bundle(root, cache=cache, graph_only=True)
+        bundle = load_bundle(root, cache=cache)
         loaded = time.perf_counter()
         result = bundle.run_mapit(config)
         done = time.perf_counter()
@@ -140,7 +140,7 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
         )
     publish(
         "scaling_parallel",
-        f"Perf layer: --jobs (fused loader) and binary cache sweep, dense "
+        f"Perf layer: --jobs (columnar loader) and binary cache sweep, dense "
         f"preset seed {PAPER_SEED} ({trace_count} traces, {os.cpu_count()} "
         f"CPU(s) available)",
         rows,
@@ -150,7 +150,7 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
 def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
     """Standalone CI gate: jobs=4 must stay within *tolerance* of jobs=1.
 
-    Times the end-to-end pipeline (fused load + inference) best-of-
+    Times the end-to-end pipeline (columnar load + inference) best-of-
     *repeats* for each worker count, asserts byte-identity, and returns
     a non-zero exit code when parallel overhead exceeds the budget.
     """
@@ -169,7 +169,7 @@ def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
             best[jobs] = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                bundle = load_bundle(root, jobs=jobs, graph_only=True)
+                bundle = load_bundle(root, jobs=jobs)
                 result = bundle.run_mapit(config, jobs=jobs)
                 best[jobs] = min(best[jobs], time.perf_counter() - start)
             outputs[jobs] = result.to_json()

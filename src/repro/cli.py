@@ -289,14 +289,11 @@ def _finish_obs(obs, args) -> None:
     obs.close()
 
 
-def _load_bundle_checked(args, obs=None, graph_only=False):
+def _load_bundle_checked(args, obs=None):
     """Load the dataset under the CLI's robustness and perf flags.
 
     Prints the ingest health summary to stderr; returns None (caller
     exits with EXIT_BUDGET_EXCEEDED) when the error budget is blown.
-    *graph_only* opts into the fused streaming loader when worker
-    shards are in play (the ``run`` command — the only one that never
-    needs trace objects).
     """
     from repro.obs import NULL_OBS
 
@@ -310,7 +307,6 @@ def _load_bundle_checked(args, obs=None, graph_only=False):
             jobs=jobs,
             cache=cache,
             shard_timeout=shard_timeout,
-            graph_only=graph_only,
         )
     except ErrorBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -386,8 +382,8 @@ def cmd_simulate(args) -> int:
     # Re-ingest what was just written under the selected policy: a
     # cheap end-to-end check that the dataset is loadable, with the
     # same health summary the run/evaluate commands print.
+    from repro.perf.ingest import ingest_trace_file
     from repro.robust.errors import ErrorBudget
-    from repro.robust.ingest import ingest_trace_file
 
     try:
         _, report = ingest_trace_file(
@@ -422,11 +418,7 @@ def cmd_run(args) -> int:
         args.cache = os.environ.get("MAPIT_CACHE") or journal_dir
     obs = _build_obs(args)
     try:
-        # The fused graph-only loader applies to plain runs; journaled
-        # runs keep the classic load so a --resume that replays the
-        # journaled graph blob skips the build (and its events) exactly
-        # as it did when the journal was written.
-        bundle = _load_bundle_checked(args, obs=obs, graph_only=not journal_dir)
+        bundle = _load_bundle_checked(args, obs=obs)
         if bundle is None:
             return EXIT_BUDGET_EXCEEDED
         jobs, _, shard_timeout = _perf_settings(args)

@@ -282,12 +282,12 @@ def run_mapit_graph(
 ) -> MapItResult:
     """Run MAP-IT over a pre-built interface graph.
 
-    The tail of the fused parallel loader (docs/PERFORMANCE.md): the
-    graph was already built at load time, so this skips sanitize/build
-    and, before the passes start, warms the engine's origin cache with
-    one sorted batched LPM sweep over every address the passes can
-    query (``Engine.prime_origins``) — amortizing ip2as resolution per
-    run instead of per neighbor lookup.  The result is identical to
+    The tail of every dataset run (:meth:`repro.io.InputBundle.run_mapit`,
+    docs/PERFORMANCE.md): the graph was folded from the loaded columns,
+    so this skips sanitize/build and, before the passes start, warms
+    the engine's origin cache with one sorted batched LPM sweep over
+    every address the passes can query (``Engine.prime_origins``) —
+    amortizing ip2as resolution per run instead of per neighbor lookup.  The result is identical to
     :func:`run_mapit` over the traces that produced *graph*.
     """
     from repro.perf.flat import graph_address_universe
@@ -314,18 +314,21 @@ def run_mapit(
     *obs*, when given, receives structured trace events, metrics, and
     profiling spans for the whole pipeline (docs/OBSERVABILITY.md).
 
-    *jobs > 1* shards sanitization and graph construction across worker
-    processes (:mod:`repro.perf.graph`); the inference passes themselves
-    are serial either way, and the result is identical
-    (docs/PERFORMANCE.md).  *shard_timeout* is the supervisor's
-    per-shard deadline for the pooled stages (docs/ROBUSTNESS.md).
+    At ``jobs=1`` this is the serial object reference the golden,
+    differential and serve-vs-batch harnesses compare against.  *jobs >
+    1* packs the traces into columns and shards the sanitize + neighbor
+    fold across worker processes (:mod:`repro.perf.graph`); the
+    inference passes themselves are serial either way, and the result
+    is identical (docs/PERFORMANCE.md).  *shard_timeout* is the
+    supervisor's per-shard deadline for the pooled stages
+    (docs/ROBUSTNESS.md).
     """
     if jobs > 1:
         from repro.obs.observer import NULL_OBS
         from repro.perf.graph import build_graph_parallel
 
         graph = build_graph_parallel(
-            list(traces),
+            traces,
             jobs,
             obs=obs if obs is not None else NULL_OBS,
             shard_timeout=shard_timeout,

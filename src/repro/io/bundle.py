@@ -5,18 +5,20 @@ IP2AS source) still hard-fail when absent or — in strict mode —
 malformed, but a missing or corrupt *optional* dataset (IXP, AS2Org,
 relationships, hostnames, ground truth, manifest) never aborts the
 load; it becomes an empty dataset plus a warning in the returned
-:class:`~repro.robust.health.BundleHealth` report.  Trace parsing runs
-under the strict / lenient / quarantine policies of
-:mod:`repro.robust.ingest`, and manifest checksums (written by
-:func:`repro.io.save.save_scenario`) are verified when present.
+:class:`~repro.robust.health.BundleHealth` report.  Traces are parsed
+straight into columns (:mod:`repro.perf.ingest`) under the strict /
+lenient / quarantine policies of :mod:`repro.robust.ingest`, and
+manifest checksums (written by :func:`repro.io.save.save_scenario`)
+are verified when present.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.bgp.cymru import CymruTable
 from repro.bgp.ip2as import IP2AS, IP2ASBuilder
@@ -30,9 +32,10 @@ from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
 from repro.rel.relationships import RelationshipDataset
 from repro.graph.neighbors import InterfaceGraph
+from repro.perf.flat import FlatTraces, pack_traces, unpack_traces
+from repro.perf.ingest import ingest_trace_file
 from repro.robust.errors import ErrorBudget, IngestReport
 from repro.robust.health import BundleHealth
-from repro.robust.ingest import ingest_trace_file
 from repro.sim.groundtruth import GroundTruth
 from repro.traceroute.model import Trace
 
@@ -41,19 +44,17 @@ from repro.traceroute.model import Trace
 class InputBundle:
     """Everything loaded from a dataset directory.
 
-    ``traces``, ``ip2as``, ``as2org`` and ``relationships`` are exactly
-    the arguments of :func:`repro.run_mapit`; ``ground_truth`` and
+    ``flat`` holds the parsed traces as columns
+    (:class:`~repro.perf.flat.FlatTraces`): the fold reads them
+    directly, and :attr:`traces` decodes them into
+    :class:`~repro.traceroute.model.Trace` objects only when a caller
+    asks.  ``ip2as``, ``as2org`` and ``relationships`` are the mapping
+    arguments of :func:`repro.run_mapit`; ``ground_truth`` and
     ``hostnames`` are optional evaluation extras.  ``health`` reports
     what loaded cleanly, what degraded, and what was rejected.
-
-    When the bundle was loaded with ``graph_only=True`` and worker
-    shards, ``graph`` holds the interface graph the fused loader built
-    and ``traces`` is empty — the graph is all the inference passes
-    need, and the trace objects were deliberately never materialized
-    (docs/PERFORMANCE.md).
     """
 
-    traces: List[Trace]
+    flat: FlatTraces
     ip2as: IP2AS
     as2org: AS2Org
     relationships: RelationshipDataset
@@ -61,39 +62,47 @@ class InputBundle:
     hostnames: Optional[HostnameDataset] = None
     manifest: Dict = field(default_factory=dict)
     health: BundleHealth = field(default_factory=BundleHealth)
-    graph: Optional[InterfaceGraph] = None
+
+    @cached_property
+    def traces(self) -> List[Trace]:
+        """The parsed traces as objects, decoded on first access
+        (O(total hops))."""
+        return unpack_traces(self.flat)
+
+    def build_graph(
+        self,
+        obs: Observability = NULL_OBS,
+        jobs: int = 1,
+        shard_timeout: Optional[float] = None,
+    ) -> InterfaceGraph:
+        """Sanitize and fold the columns into the interface graph.
+
+        ``jobs > 1`` shards the fold across worker processes; the graph
+        is the same either way.  ``shard_timeout`` is the supervisor's
+        per-shard deadline (docs/ROBUSTNESS.md).
+        """
+        from repro.perf.graph import build_graph_flat
+
+        return build_graph_flat(self.flat, jobs, obs=obs, shard_timeout=shard_timeout)
 
     def run_mapit(self, config=None, obs=None, jobs=1, shard_timeout=None):
-        """Convenience: run MAP-IT over this bundle.
+        """Convenience: fold the graph and run MAP-IT over this bundle.
 
-        ``jobs > 1`` shards sanitization and graph construction across
-        worker processes (:mod:`repro.perf`); the result is identical.
-        ``shard_timeout`` is the supervisor's per-shard deadline
-        (docs/ROBUSTNESS.md).  A pre-built ``graph`` (fused loader)
-        short-circuits straight into the inference passes.
+        The result is byte-identical to :func:`repro.run_mapit` over
+        :attr:`traces` at any *jobs*.
         """
-        if self.graph is not None:
-            from repro.core.mapit import run_mapit_graph
+        from repro.core.mapit import run_mapit_graph
 
-            return run_mapit_graph(
-                self.graph,
-                self.ip2as,
-                org=self.as2org,
-                rel=self.relationships,
-                config=config,
-                obs=obs,
-            )
-        from repro import run_mapit
-
-        return run_mapit(
-            self.traces,
+        graph = self.build_graph(
+            obs if obs is not None else NULL_OBS, jobs, shard_timeout
+        )
+        return run_mapit_graph(
+            graph,
             self.ip2as,
             org=self.as2org,
             rel=self.relationships,
             config=config,
             obs=obs,
-            jobs=jobs,
-            shard_timeout=shard_timeout,
         )
 
 
@@ -145,35 +154,26 @@ def _ingest_traces_cached(
     obs: Observability,
     jobs: int,
     cache: Optional[Union[str, Path]],
-    shard_timeout: Optional[float] = None,
-    graph_only: bool = False,
-    health: Optional[BundleHealth] = None,
-):
-    """Ingest the traces file, via the cache and/or worker shards.
+    shard_timeout: Optional[float],
+    health: BundleHealth,
+) -> Tuple[FlatTraces, IngestReport]:
+    """Parse the traces file into columns, through the cache if given.
 
-    Returns ``(traces, report, graph)``.  The cache key is the file's
-    content sha256 (the digest the manifest records), so a hit is
-    provably the same bytes; only clean parses are stored, so the
-    mode-dependent error machinery always runs for dirty files.  A hit
-    emits the same ``ingest.end`` event and ``ingest.records.*``
-    counters a clean parse would — cold and warm runs produce
-    byte-identical ``--trace`` output, and the entry's format version
-    is surfaced in *health* (``cache: hit`` in the summary).
-
-    With *graph_only* true and ``jobs > 1`` the fused streaming path
-    runs instead: workers parse + sanitize + fold their shard and only
-    counter bundles cross the fork boundary, so ``traces`` comes back
-    empty and ``graph`` pre-built (docs/PERFORMANCE.md).  A warm hit on
-    a v2 (columnar) entry feeds the flat fold directly without ever
-    materializing trace objects.
+    The cache key is the file's content sha256 (the digest the manifest
+    records), so a hit is provably the same bytes; only clean parses
+    are stored, so the mode-dependent error machinery always runs for
+    dirty files.  A hit emits the same ``ingest`` span, ``ingest.end``
+    event and ``ingest.records.*`` counters a clean parse would — cold
+    and warm runs produce byte-identical ``--trace`` output — and the
+    entry's format version is surfaced in *health* (``cache: hit`` in
+    the summary).  A v2 hit is the stored columns themselves; a legacy
+    v1 hit is packed into columns.
     """
     from repro.robust.ingest import finalize_ingest
     from repro.traceroute.parse import trace_format_for_path
 
-    fused = graph_only and jobs > 1
-    bundle_cache = None
-    source_sha = None
     format = trace_format_for_path(traces_path.name)
+    bundle_cache = None
     if cache is not None:
         from repro.perf.cache import BundleCache
 
@@ -181,8 +181,7 @@ def _ingest_traces_cached(
         source_sha = file_sha256(traces_path)
         hit = bundle_cache.load_entry(source_sha, format)
         if hit is not None:
-            if health is not None:
-                health.cache_format = hit.format_label
+            health.cache_format = hit.format_label
             report = IngestReport(
                 source=traces_path.name,
                 mode=mode,
@@ -190,60 +189,20 @@ def _ingest_traces_cached(
                 skipped=hit.skipped,
             )
             with obs.span("ingest"):
-                pass
-            report = finalize_ingest(report, [], obs=obs)
-            if fused:
-                from repro.perf.graph import build_graph_flat, build_graph_parallel
-
-                if hit.flat is not None:
-                    graph = build_graph_flat(
-                        hit.flat, jobs, obs=obs, shard_timeout=shard_timeout
-                    )
-                else:
-                    graph = build_graph_parallel(
-                        hit.traces(), jobs, obs=obs, shard_timeout=shard_timeout
-                    )
-                return [], report, graph
-            return hit.traces(), report, None
-    if fused:
-        from repro.perf.ingest import stream_graph_from_file
-
-        graph, report, payload = stream_graph_from_file(
-            traces_path,
-            jobs,
-            mode=mode,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-            shard_timeout=shard_timeout,
-            want_payload=bundle_cache is not None,
-        )
-        if bundle_cache is not None and payload is not None:
-            bundle_cache.store_payload(source_sha, format, payload, report)
-        return [], report, graph
-    if jobs > 1:
-        from repro.perf.ingest import ingest_trace_file_parallel
-
-        traces, report = ingest_trace_file_parallel(
-            traces_path,
-            jobs,
-            mode=mode,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-            shard_timeout=shard_timeout,
-        )
-    else:
-        traces, report = ingest_trace_file(
-            traces_path,
-            mode=mode,
-            budget=budget,
-            quarantine_dir=quarantine_dir,
-            obs=obs,
-        )
-    if bundle_cache is not None:
-        bundle_cache.store(source_sha, format, traces, report)
-    return traces, report, None
+                flat = hit.flat if hit.flat is not None else pack_traces(hit.traces())
+            return flat, finalize_ingest(report, [], obs=obs)
+    flat, report = ingest_trace_file(
+        traces_path,
+        jobs,
+        mode=mode,
+        budget=budget,
+        quarantine_dir=quarantine_dir,
+        obs=obs,
+        shard_timeout=shard_timeout,
+    )
+    if bundle_cache is not None and report.ok:
+        bundle_cache.store_payload(source_sha, format, flat.to_bytes(), report)
+    return flat, report
 
 
 def load_bundle(
@@ -256,7 +215,6 @@ def load_bundle(
     jobs: int = 1,
     cache: Optional[Union[str, Path]] = None,
     shard_timeout: Optional[float] = None,
-    graph_only: bool = False,
     skip_traces: bool = False,
 ) -> InputBundle:
     """Load a dataset directory (see :mod:`repro.io` for the layout).
@@ -267,8 +225,8 @@ def load_bundle(
     the returned bundle's ``health``).
 
     *skip_traces* loads only the mapping datasets: the traces file is
-    neither required nor read and the returned bundle's ``traces`` list
-    is empty.  The serve daemon uses this — its traces arrive over a
+    neither required nor read and the returned bundle's columns are
+    empty.  The serve daemon uses this — its traces arrive over a
     stream, so a serve dataset directory may legitimately carry no
     traces file at all (docs/SERVE.md).
 
@@ -278,18 +236,15 @@ def load_bundle(
     fraction in the non-strict modes; *quarantine_dir* overrides the
     default ``<dataset>/quarantine/`` reject directory.
 
-    *jobs > 1* shards trace parsing across worker processes; *cache*
-    names a :class:`~repro.perf.cache.BundleCache` directory keyed by
-    the traces file's sha256 — a verified hit skips parsing entirely
-    (docs/PERFORMANCE.md).  Both are optimizations only: traces,
-    report, and observability events are identical either way.
-
-    *graph_only* (with ``jobs > 1``) opts into the fused streaming
-    loader: the returned bundle carries a pre-built interface ``graph``
-    and an *empty* ``traces`` list — parsed traces never cross the fork
-    boundary.  Only callers that don't need trace objects (the ``run``
-    pipeline) should ask for it; evaluation and reporting paths keep
-    the default.
+    The traces file is parsed straight into columns
+    (:func:`repro.perf.ingest.ingest_trace_file`); no trace object is
+    built until a caller reads :attr:`InputBundle.traces`.  *jobs > 1*
+    splits the parse across worker processes; *cache* names a
+    :class:`~repro.perf.cache.BundleCache` directory keyed by the
+    traces file's sha256 — a verified hit yields the stored columns
+    without parsing (docs/PERFORMANCE.md).  Both are optimizations
+    only: columns, report, and observability events are identical
+    either way.
     """
     root = Path(directory)
     health = BundleHealth()
@@ -306,12 +261,12 @@ def load_bundle(
     else:
         raise FileNotFoundError(f"no traces.txt or traces.jsonl in {root}")
     if skip_traces:
-        traces, graph = [], None
+        flat = pack_traces(())
         health.record("traces", "skipped", "stream-fed (serve)")
     else:
         if on_error == "quarantine" and quarantine_dir is None:
             quarantine_dir = root / "quarantine"
-        traces, ingest_report, graph = _ingest_traces_cached(
+        flat, ingest_report = _ingest_traces_cached(
             traces_path,
             mode=on_error,
             budget=budget,
@@ -320,7 +275,6 @@ def load_bundle(
             jobs=jobs,
             cache=cache,
             shard_timeout=shard_timeout,
-            graph_only=graph_only,
             health=health,
         )
         health.ingest = ingest_report
@@ -404,7 +358,7 @@ def load_bundle(
         manifest = {}
     _verify_checksums(root, manifest, health)
     return InputBundle(
-        traces=traces,
+        flat=flat,
         ip2as=ip2as,
         as2org=as2org,
         relationships=relationships,
@@ -412,5 +366,4 @@ def load_bundle(
         hostnames=hostnames,
         manifest=manifest,
         health=health,
-        graph=graph,
     )

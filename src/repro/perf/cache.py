@@ -25,9 +25,9 @@ struct-packed header followed by the columnar
     92     ...   payload: FlatTraces.to_bytes() columnar block
 
 The v2 payload is plain struct/array data — decoding it executes no
-code, which removes the v1 pickle trust caveat — and the columnar form
-is exactly what the fused parallel loader maps workers over, so a warm
-hit never materializes trace objects it doesn't need.
+code, which removes the v1 pickle trust caveat — and it is exactly the
+columns a cold load parses into, so a warm hit goes straight to the
+fold and never materializes trace objects it doesn't need.
 
 **Transparent v1 fallback**: entries written by earlier releases (a
 JSON header line + a pickle of compact tuples) still verify and load —
@@ -127,7 +127,7 @@ class CacheHit:
     """A verified cache entry, decoded lazily.
 
     ``flat`` is populated for v2 entries (the columnar block, ready for
-    the fused graph path without object materialization); v1 entries
+    the fold without object materialization); v1 entries
     carry their unpickled compact tuples instead.  :meth:`traces`
     materializes dataclasses on demand either way.
     """
@@ -289,9 +289,9 @@ class BundleCache:
     ) -> bool:
         """Write an already-encoded columnar payload as a v2 entry.
 
-        The fused streaming loader calls this directly with the
-        concatenated per-shard blocks, so a cold parallel run populates
-        the cache without ever building trace objects in the parent.
+        The dataset loader calls this directly with its parsed
+        columns' ``to_bytes()``, so a cold run populates the cache
+        without ever building trace objects.
         Atomic, clean-parses-only, chaos-injectable; O(payload bytes).
         """
         if not report.ok:

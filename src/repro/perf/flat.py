@@ -14,11 +14,16 @@ sharded execution layer moves around instead:
   serializes to a self-describing binary block (the ``.mapitc`` v2
   cache payload), and supports O(1) slicing into trace index ranges so
   workers can decode or fold *their shard only*.
+* :class:`FlatBuilder` — columns that grow one record at a time: the
+  parsers of :mod:`repro.perf.ingest` append to it directly, and
+  :func:`pack_traces` / :func:`concat_flat` are built on the same
+  layout.
 * :func:`accumulate_flat` — the §4.1 sanitize + §4.3 neighbor-set fold
   executed directly over the columns, producing exactly the tallies of
   ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
   a single ``Hop`` (property-tested against the object kernel in
-  ``tests/test_perf_flat.py``).
+  ``tests/test_perf_flat.py``); :func:`special_memo` lets it consult
+  the RFC 6890 registry once per distinct address.
 * :func:`encode_table` / :func:`merge_table_blob` /
   :func:`encode_addresses` / :func:`merge_address_blob` — the counter
   bundle codec: neighbor tables and address sets as packed ``uint32``
@@ -44,6 +49,8 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.traceroute.model import Hop, Trace
@@ -59,9 +66,6 @@ F64 = "d"
 #: single-byte flag items
 U8 = "B"
 
-_U32_MAX = 0xFFFFFFFF
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
 #: hop flag bit: the hop responded (address column is meaningful)
 _RESPONDED = 0x01
 
@@ -76,8 +80,9 @@ class FlatEncodeError(ValueError):
 
     Raised by :func:`pack_traces` for out-of-range fields (an address
     outside u32, a quoted TTL or flow id outside i64, a monitor string
-    over 4 GiB).  Callers fall back to the object path — an encode
-    failure may cost speed, never correctness.
+    over 4 GiB).  Every field the trace parsers produce fits (they
+    bound addresses to u32 and TTLs to 0–255), so only hand-built
+    traces can raise it.
     """
 
 
@@ -217,68 +222,80 @@ class FlatTraces:
         return flat
 
 
-def _check_u32(value: int, what: str) -> int:
-    if not 0 <= value <= _U32_MAX:
-        raise FlatEncodeError(f"{what} {value!r} does not fit in u32")
-    return value
+#: one hop as the columns store it: (flags, address, quoted TTL, RTT)
+HopRow = Tuple[int, int, int, float]
 
 
-def _check_i64(value: int, what: str) -> int:
-    if not _I64_MIN <= value <= _I64_MAX:
-        raise FlatEncodeError(f"{what} {value!r} does not fit in i64")
-    return value
+def hop_row(hop: Hop) -> HopRow:
+    """The column row of one :class:`Hop`."""
+    if hop.address is None:
+        return (0, 0, hop.quoted_ttl, float(hop.rtt_ms))
+    return (_RESPONDED, hop.address, hop.quoted_ttl, float(hop.rtt_ms))
 
 
-def pack_traces(traces: Sequence[Trace]) -> FlatTraces:
+class FlatBuilder:
+    """Traces appended one at a time, frozen into a :class:`FlatTraces`
+    by :meth:`finish`.
+
+    Appending only records references — one per trace, one per hop row
+    — so a parser that reuses memoized rows allocates nothing per hop;
+    :meth:`finish` transposes the rows into the typed columns in C.  A
+    value outside a column's range raises ``OverflowError`` from
+    ``array`` there.  Monitors are stored as UTF-8 with
+    ``surrogatepass``, so a lone surrogate decoded from a JSON escape
+    round-trips instead of failing.
+    """
+
+    def __init__(self) -> None:
+        #: per trace: (monitor, dst, flow, hop count)
+        self._traces: List[Tuple[str, int, int, int]] = []
+        self._rows: List[HopRow] = []
+
+    def append(
+        self, monitor: str, dst: int, hops: Sequence[HopRow], flow: int = 0
+    ) -> None:
+        """Append one trace given its hop rows."""
+        self._traces.append((monitor, dst, flow, len(hops)))
+        self._rows.extend(hops)
+
+    def append_trace(self, trace: Trace) -> None:
+        """Append one parsed :class:`Trace`."""
+        self.append(
+            trace.monitor, trace.dst, [hop_row(hop) for hop in trace.hops], trace.flow_id
+        )
+
+    def finish(self) -> FlatTraces:
+        """The columns of everything appended (O(traces + hops))."""
+        traces, rows = self._traces, self._rows
+        monitors = [
+            monitor.encode("utf-8", "surrogatepass") for monitor, _, _, _ in traces
+        ]
+        return FlatTraces(
+            monitor_off=array(U32, accumulate(map(len, monitors), initial=0)),
+            monitors=b"".join(monitors),
+            dst=array(U32, map(itemgetter(1), traces)),
+            flow=array(I64, map(itemgetter(2), traces)),
+            hop_start=array(U32, accumulate(map(itemgetter(3), traces), initial=0)),
+            hop_flags=array(U8, map(itemgetter(0), rows)),
+            hop_addr=array(U32, map(itemgetter(1), rows)),
+            hop_quoted=array(I64, map(itemgetter(2), rows)),
+            hop_rtt=array(F64, map(itemgetter(3), rows)),
+        )
+
+
+def pack_traces(traces: Iterable[Trace]) -> FlatTraces:
     """Encode parsed traces into columns.
 
-    O(total hops); one pass, no intermediate objects beyond the column
-    arrays.  Raises :class:`FlatEncodeError` when a field falls outside
-    the binary ranges (u32 addresses, i64 TTL/flow) — callers degrade
-    to the object path.
+    O(total hops).  Raises :class:`FlatEncodeError` when a field falls
+    outside the binary ranges (u32 addresses, i64 TTL/flow).
     """
-    monitor_off = array(U32, [0])
-    monitor_parts: List[bytes] = []
-    monitors_len = 0
-    dst = array(U32)
-    flow = array(I64)
-    hop_start = array(U32, [0])
-    hop_flags = array(U8)
-    hop_addr = array(U32)
-    hop_quoted = array(I64)
-    hop_rtt = array(F64)
-    n_hops = 0
+    builder = FlatBuilder()
     for trace in traces:
-        encoded = trace.monitor.encode("utf-8")
-        monitors_len += len(encoded)
-        _check_u32(monitors_len, "monitor offset")
-        monitor_parts.append(encoded)
-        monitor_off.append(monitors_len)
-        dst.append(_check_u32(trace.dst, "destination address"))
-        flow.append(_check_i64(trace.flow_id, "flow id"))
-        for hop in trace.hops:
-            if hop.address is None:
-                hop_flags.append(0)
-                hop_addr.append(0)
-            else:
-                hop_flags.append(_RESPONDED)
-                hop_addr.append(_check_u32(hop.address, "hop address"))
-            hop_quoted.append(_check_i64(hop.quoted_ttl, "quoted TTL"))
-            hop_rtt.append(float(hop.rtt_ms))
-        n_hops += len(trace.hops)
-        _check_u32(n_hops, "hop count")
-        hop_start.append(n_hops)
-    return FlatTraces(
-        monitor_off=monitor_off,
-        monitors=b"".join(monitor_parts),
-        dst=dst,
-        flow=flow,
-        hop_start=hop_start,
-        hop_flags=hop_flags,
-        hop_addr=hop_addr,
-        hop_quoted=hop_quoted,
-        hop_rtt=hop_rtt,
-    )
+        builder.append_trace(trace)
+    try:
+        return builder.finish()
+    except OverflowError as exc:
+        raise FlatEncodeError(f"trace field out of column range: {exc}") from exc
 
 
 def unpack_traces(
@@ -302,7 +319,9 @@ def unpack_traces(
     )
     traces: List[Trace] = []
     for index in range(start, end):
-        monitor = monitors[monitor_off[index]:monitor_off[index + 1]].decode("utf-8")
+        monitor = monitors[monitor_off[index]:monitor_off[index + 1]].decode(
+            "utf-8", "surrogatepass"
+        )
         first, last = hop_start[index], hop_start[index + 1]
         hops = tuple(
             Hop(
@@ -316,18 +335,18 @@ def unpack_traces(
     return traces
 
 
-def concat_flat_bytes(blocks: Sequence[bytes]) -> bytes:
-    """Concatenate :meth:`FlatTraces.to_bytes` blocks into one block.
+def concat_flat(parts: Sequence[FlatTraces]) -> FlatTraces:
+    """Concatenate blocks in order into one block (a lone part is
+    returned as is).
 
-    Pure column splicing (array extends plus cumulative-offset fixups,
-    all C-speed): the parent assembles one cache payload from per-shard
-    blobs without ever materializing a trace object.  O(total bytes).
+    Pure column splicing — array extends plus cumulative-offset fixups
+    — so per-span parse results merge without a trace object.
+    O(total bytes).
     """
-    parts = [FlatTraces.from_bytes(block) for block in blocks]
-    if not parts:
-        return pack_traces([]).to_bytes()
-    merged = parts[0]
-    for part in parts[1:]:
+    if len(parts) == 1:
+        return parts[0]
+    merged = pack_traces(())
+    for part in parts:
         monitor_base = len(merged.monitors)
         hop_base = merged.hop_start[-1]
         merged.monitor_off.extend(
@@ -341,11 +360,44 @@ def concat_flat_bytes(blocks: Sequence[bytes]) -> bytes:
         merged.hop_addr.extend(part.hop_addr)
         merged.hop_quoted.extend(part.hop_quoted)
         merged.hop_rtt.extend(part.hop_rtt)
-    return merged.to_bytes()
+    return merged
+
+
+class _SpecialMemo(dict):
+    """Address → ``is_special`` answer, computed on first lookup."""
+
+    __slots__ = ("_is_special",)
+
+    def __init__(self, is_special: Callable[[int], bool]) -> None:
+        super().__init__()
+        self._is_special = is_special
+
+    def __missing__(self, address: int) -> bool:
+        value = self[address] = self._is_special(address)
+        return value
+
+
+def special_memo(is_special: Callable[[int], bool]) -> Callable[[int], bool]:
+    """Memoize *is_special* per distinct address.
+
+    The fold asks once per hop, but a dataset has far fewer distinct
+    addresses than hops, and each miss is an RFC 6890 trie walk.  The
+    returned callable is a bound ``dict.__getitem__`` (a C call on a
+    hit).  Keep one memo for as long as the tables it feeds (one fold
+    shard, one stress stream, one serve index), not on the registry: a later
+    :meth:`~repro.net.special.SpecialPurposeRegistry.add` would make a
+    registry-wide memo stale.
+    """
+    return _SpecialMemo(is_special).__getitem__
 
 
 # ----------------------------------------------------------------------
 # the flat sanitize + neighbor-set kernel
+
+
+#: traces per fold chunk: bounds the transient per-hop lists and the
+#: distinct-pair set (the stress tier's blocks are this size too)
+_FOLD_CHUNK = 4096
 
 
 def accumulate_flat(
@@ -362,8 +414,8 @@ def accumulate_flat(
     """Sanitize and fold ``flat[start:end]`` into neighbor tables.
 
     The columnar twin of ``sanitize_traces`` + ``accumulate_neighbors``
-    (§4.1 + §4.3), run in one pass over the hop columns without
-    constructing a single :class:`Hop`:
+    (§4.1 + §4.3), run over the hop columns without constructing a
+    single :class:`Hop`:
 
     * responsive hops land in *universe* before any stripping (the
       other-side heuristic deliberately sees discarded traces);
@@ -375,9 +427,13 @@ def accumulate_flat(
     * retained adjacency folds into *forward*/*backward* with special
       addresses breaking adjacency and excluded from *seen*.
 
-    Returns ``(retained, discarded, buggy_hops_removed)``.  O(hops in
-    range); equality with the object kernel is property-tested in
-    ``tests/test_perf_flat.py``.
+    Neighbor sets record membership, not multiplicity, so each chunk of
+    traces first collects its *distinct* adjacent pairs and addresses
+    (C-speed set updates) and only those reach the tables and
+    *is_special* — a dataset repeats the same few links across many
+    traces.  Returns ``(retained, discarded, buggy_hops_removed)``.
+    O(hops in range); equality with the object kernel is
+    property-tested in ``tests/test_perf_flat.py``.
 
     *dirty*, when given, collects the interface halves whose neighbor
     set actually gained a member — ``(address, FORWARD)`` when a
@@ -386,60 +442,92 @@ def accumulate_flat(
     :meth:`repro.core.mapit.MapIt.run_incremental` needs (the serve
     daemon's dirty-region tracking, docs/SERVE.md).
     """
-    hop_start = flat.hop_start
-    flags, addr_column, quoted = flat.hop_flags, flat.hop_addr, flat.hop_quoted
     retained = discarded = buggy = 0
+    for chunk_start in range(start, end, _FOLD_CHUNK):
+        chunk_end = min(end, chunk_start + _FOLD_CHUNK)
+        counts = _accumulate_chunk(
+            flat, chunk_start, chunk_end, forward, backward, seen, universe,
+            is_special, dirty,
+        )
+        retained += counts[0]
+        discarded += counts[1]
+        buggy += counts[2]
+    return retained, discarded, buggy
+
+
+#: a gap in :func:`_accumulate_chunk`'s hop lists.  Not ``None``: its
+#: hash is address-based before Python 3.12, which would make the
+#: pair set's iteration order (and so table insertion order) vary
+#: from run to run.
+_GAP = -1
+
+
+def _accumulate_chunk(
+    flat, start, end, forward, backward, seen, universe, is_special, dirty
+) -> Tuple[int, int, int]:
+    """:func:`accumulate_flat` over one chunk of traces."""
+    hop_start = flat.hop_start
+    low, high = hop_start[start], hop_start[end]
+    addresses = flat.hop_addr[low:high].tolist()
+    # flags hold 0 or _RESPONDED, so a flag's truth is "responded"
+    responded = flat.hop_flags[low:high]
+    universe.update(compress(addresses, responded))
+    stripped = [
+        address if flag and ttl else _GAP
+        for address, flag, ttl in zip(addresses, responded, flat.hop_quoted[low:high])
+    ]
+    # every gap is an unresponsive hop or a stripped buggy one
+    buggy = stripped.count(_GAP) - responded.count(0)
+    retained = discarded = 0
+    addresses_kept: Set[int] = set()
+    pairs: Set[Tuple[int, int]] = set()
     for index in range(start, end):
-        first, last = hop_start[index], hop_start[index + 1]
-        addresses: List[Optional[int]] = []
-        buggy_here = 0
-        for i in range(first, last):
-            if flags[i] & _RESPONDED:
-                address = addr_column[i]
-                universe.add(address)
-                if quoted[i] == 0:
-                    buggy_here += 1
-                    addresses.append(None)
-                else:
-                    addresses.append(address)
-            else:
-                addresses.append(None)
-        buggy += buggy_here
-        last_position: Dict[int, int] = {}
-        cycle = False
-        for position, address in enumerate(addresses):
-            if address is None:
-                continue
-            previous = last_position.get(address)
-            if previous is not None and position - previous > 1:
-                cycle = True
-                break
-            last_position[address] = position
-        if cycle:
+        hops = stripped[hop_start[index] - low : hop_start[index + 1] - low]
+        distinct = set(hops)
+        distinct.discard(_GAP)
+        # only a repeated address can form a cycle
+        if len(distinct) != len(hops) - hops.count(_GAP) and _has_cycle(hops):
             discarded += 1
             continue
         retained += 1
-        previous_address: Optional[int] = None
-        for address in addresses:
-            if address is None or is_special(address):
-                previous_address = None
-                continue
-            seen.add(address)
-            if previous_address is not None:
-                if dirty is None:
-                    forward.setdefault(previous_address, set()).add(address)
-                    backward.setdefault(address, set()).add(previous_address)
-                else:
-                    members = forward.setdefault(previous_address, set())
-                    if address not in members:
-                        members.add(address)
-                        dirty.add((previous_address, True))
-                    members = backward.setdefault(address, set())
-                    if previous_address not in members:
-                        members.add(previous_address)
-                        dirty.add((address, False))
-            previous_address = address
+        addresses_kept |= distinct
+        pairs.update(zip(hops, hops[1:]))
+    seen.update(address for address in addresses_kept if not is_special(address))
+    for previous, address in pairs:
+        if (
+            previous == _GAP
+            or address == _GAP
+            or is_special(previous)
+            or is_special(address)
+        ):
+            continue
+        if dirty is None:
+            forward.setdefault(previous, set()).add(address)
+            backward.setdefault(address, set()).add(previous)
+        else:
+            members = forward.setdefault(previous, set())
+            if address not in members:
+                members.add(address)
+                dirty.add((previous, True))
+            members = backward.setdefault(address, set())
+            if previous not in members:
+                members.add(previous)
+                dirty.add((address, False))
     return retained, discarded, buggy
+
+
+def _has_cycle(hops: List[int]) -> bool:
+    """The same address twice, more than one position apart (gaps
+    count as positions) — :func:`repro.traceroute.sanitize.find_cycle`."""
+    last_position: Dict[int, int] = {}
+    for position, address in enumerate(hops):
+        if address == _GAP:
+            continue
+        previous = last_position.get(address)
+        if previous is not None and position - previous > 1:
+            return True
+        last_position[address] = position
+    return False
 
 
 # ----------------------------------------------------------------------

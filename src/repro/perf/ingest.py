@@ -1,27 +1,27 @@
-"""Sharded trace ingestion: the parallel twin of ``repro.robust.ingest``.
+"""Trace ingestion straight into columns: the one load path.
 
-The source text is split into contiguous shards; each worker runs the
-same per-record pipeline as the serial ingester — blank/comment
-skipping, :func:`repro.robust.ingest.parse_record`, per-mode error
-handling — over its shard with *absolute* line numbers, and returns a
-compact partial result.  The parent concatenates partials in shard
-order, so the merged traces, error list, reject list, and counts are
-exactly what one serial pass would have produced, then hands off to
-:func:`repro.robust.ingest.finalize_ingest` for the budget check,
-quarantine write, and observability — the shared tail guarantees the
-two ingesters are indistinguishable from the outside.
+A traces file is read whole, cut into newline-aligned character spans
+(one per worker; a single span at ``jobs=1``), and each span runs the
+per-record policy loop :func:`_parse_lines` — blank/comment skipping,
+strict/lenient/quarantine handling with *absolute* line numbers —
+appending every parsed record to a :class:`~repro.perf.flat.FlatBuilder`.
+No :class:`~repro.traceroute.model.Trace` or ``Hop`` object is built
+for text input: each distinct destination or hop token string is
+validated once by the text parser's own helpers
+(:func:`~repro.traceroute.parse.text_destination`,
+:func:`~repro.traceroute.parse.text_hop`) and repeats reuse the value.
+Errors are never memoized, so a malformed token raises on every line
+that carries it.  JSONL and Atlas records keep their per-record parsers
+and append the parsed record's fields.
 
-Parsed traces never cross the fork boundary as objects.  Workers that
-must return their parse encode it as a columnar
-:class:`~repro.perf.flat.FlatTraces` block — one ``bytes`` object,
-near-memcpy to pickle — and the parent decodes (or, on the fused path,
-never decodes at all).  The fused path is
-:func:`stream_graph_from_file`: the ``run`` pipeline's loader, whose
-workers parse *and* sanitize *and* fold neighbor sets over their text
-shard in one pass, returning only a packed counter bundle
-(:class:`~repro.perf.flat.FlatGraphBundle`) plus, when a cache store
-is pending, their shard's columnar block.  One fork, object-free
-transfer, deterministic merge.
+The parent concatenates span results in order — columns, counts, the
+capped error list, rejects — so the outcome equals one serial pass,
+then hands off to :func:`repro.robust.ingest.finalize_ingest` for the
+budget check, quarantine write, and observability.  The columns are
+what the rest of the load consumes: the ``.mapitc`` v2 cache payload
+is their ``to_bytes()``, :func:`repro.perf.graph.build_graph_flat`
+folds them, and object consumers decode them with
+:func:`~repro.perf.flat.unpack_traces`.
 
 Strict mode needs care: the serial ingester raises at the first
 malformed record.  Raising inside a pool worker would surface as a
@@ -35,26 +35,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.graph.neighbors import (
-    InterfaceGraph,
-    accumulate_neighbors,
-    finish_interface_graph,
-)
+from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
 from repro.net.special import default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
-    FlatEncodeError,
-    FlatGraphBundle,
+    FlatBuilder,
     FlatTraces,
+    HopRow,
     accumulate_flat,
-    bundle_tables,
-    concat_flat_bytes,
-    pack_traces,
-    unpack_traces,
+    concat_flat,
+    hop_row,
+    special_memo,
 )
-from repro.perf.graph import finish_graph_from_bundles
 from repro.perf.pool import Shard, fork_map, shared_payload
 from repro.robust.errors import (
     MAX_DETAILED_ERRORS,
@@ -63,23 +57,21 @@ from repro.robust.errors import (
     IngestError,
     IngestReport,
 )
-from repro.robust.ingest import FORMATS, MODES, finalize_ingest, parse_record
-from repro.traceroute.model import Trace
-from repro.traceroute.parse import TraceParseError, trace_format_for_path
-from repro.traceroute.sanitize import sanitize_traces
+from repro.robust.ingest import check_ingest_args, finalize_ingest, parse_record
+from repro.traceroute.parse import (
+    TraceParseError,
+    text_destination,
+    text_fields,
+    text_hop,
+    trace_format_for_path,
+)
 
 
 @dataclass
 class _ShardResult:
-    """What one worker sends back: the parse outcome of its line range.
+    """What one span's parse sends back: its columns and tallies."""
 
-    Traces travel as a columnar ``block`` (one picklable ``bytes``);
-    ``traces`` is only populated on the rare fallback when a parsed
-    field falls outside the flat encoding's integer ranges.
-    """
-
-    block: Optional[bytes] = None
-    traces: List[Trace] = field(default_factory=list)
+    flat: Optional[FlatTraces] = None
     parsed: int = 0
     malformed: int = 0
     skipped: int = 0
@@ -89,22 +81,67 @@ class _ShardResult:
     strict_error: Optional[Tuple[str, int, str]] = None
 
 
+def _text_appender(builder: FlatBuilder) -> Callable[[str, int], bool]:
+    """A text-format record parser that appends to *builder*.
+
+    Checks and messages are :func:`~repro.traceroute.parse.parse_text_trace`'s
+    (same helpers, same token order); a token string that validated
+    once is reused from the memo.  Returns True (text has no skips).
+    """
+    destinations: Dict[str, int] = {}
+    hops: Dict[str, HopRow] = {}
+    append = builder.append
+
+    def parse(line: str, line_number: int) -> bool:
+        monitor, dst_text, hops_text = text_fields(line, line_number)
+        dst = destinations.get(dst_text)
+        if dst is None:
+            dst = destinations[dst_text] = text_destination(dst_text, line_number, line)
+        rows = []
+        for token in hops_text.split():
+            row = hops.get(token)
+            if row is None:
+                row = hops[token] = hop_row(text_hop(token, line_number, line))
+            rows.append(row)
+        append(monitor, dst, rows)
+        return True
+
+    return parse
+
+
+def _record_appender(builder: FlatBuilder, format: str) -> Callable[[str, int], bool]:
+    """A JSONL/Atlas record parser that appends to *builder*; returns
+    False for records the format says to skip."""
+
+    def parse(line: str, line_number: int) -> bool:
+        trace = parse_record(line, line_number, format)
+        if trace is None:
+            return False
+        builder.append_trace(trace)
+        return True
+
+    return parse
+
+
 def _parse_lines(
-    result,
+    result: _ShardResult,
+    builder: FlatBuilder,
     lines: List[str],
     first_line_number: int,
     format: str,
     source: str,
     mode: str,
-) -> Optional[List[Trace]]:
-    """The serial per-record loop over *lines*, tallying into *result*.
+) -> bool:
+    """The serial per-record loop over *lines*, tallying into *result*
+    and appending parsed records to *builder*.
 
-    Returns the parsed traces, or ``None`` after recording a strict
-    error (the caller stops immediately, like the serial ingester).
-    O(lines); shared by the line-sharded and text-sharded workers so
-    there is exactly one copy of the policy semantics.
+    Returns False after recording a strict error (the caller stops
+    immediately, like the serial ingester).  O(lines).
     """
-    traces: List[Trace] = []
+    if format == "text":
+        parse = _text_appender(builder)
+    else:
+        parse = _record_appender(builder, format)
     for offset, raw in enumerate(lines):
         line_number = first_line_number + offset
         line = raw.strip()
@@ -113,14 +150,13 @@ def _parse_lines(
         if format == "text" and line.startswith("#"):
             continue
         try:
-            trace = parse_record(line, line_number, format)
-            if trace is None:
+            if not parse(line, line_number):
                 result.skipped += 1
                 continue
         except TraceParseError as exc:
             if mode == "strict":
                 result.strict_error = (exc.reason, line_number, line)
-                return None
+                return False
             result.malformed += 1
             if len(result.errors) < MAX_DETAILED_ERRORS:
                 result.errors.append(
@@ -130,199 +166,29 @@ def _parse_lines(
                 result.rejects.append(line)
             continue
         result.parsed += 1
-        traces.append(trace)
-    return traces
+    return True
 
 
-def _ingest_shard(shard: Shard) -> _ShardResult:
-    """Parse one contiguous line range (runs in a worker process).
+def _parse_shard(shard: Shard) -> _ShardResult:
+    """Parse one newline-aligned character span into columns (runs in
+    a worker process, or inline at ``jobs=1``).
 
-    O(lines in shard); pickles back counts, capped errors, and one
-    columnar block — never a list of trace objects.
+    The copy-on-write payload is the whole source text as one string
+    plus a span-start → line-number map, so the fork never walks a
+    per-line list.  O(bytes in span); pickles back tallies and one
+    :class:`FlatTraces` (a handful of flat buffers).
     """
-    lines, format, source, mode = shared_payload()
+    text, line_starts, format, source, mode = shared_payload()
     start, end = shard
-    result = _ShardResult()
-    traces = _parse_lines(result, lines[start:end], start + 1, format, source, mode)
-    if traces is None:
-        return result
-    try:
-        result.block = pack_traces(traces).to_bytes()
-    except FlatEncodeError:
-        result.traces = traces
-    return result
-
-
-def ingest_traces_parallel(
-    lines: List[str],
-    jobs: int,
-    *,
-    format: str = "text",
-    source: str = "traces",
-    mode: str = "strict",
-    budget: Optional[ErrorBudget] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    obs: Observability = NULL_OBS,
-    shard_timeout: Optional[float] = None,
-) -> Tuple[List[Trace], IngestReport]:
-    """Parse *lines* across *jobs* workers under an ingestion policy.
-
-    Drop-in equivalent of :func:`repro.robust.ingest.ingest_traces` for
-    an in-memory line list: same traces, same report, same exceptions.
-    The line list reaches workers copy-on-write; each worker pickles
-    back a columnar block that the parent decodes in shard order
-    (O(total hops) rehydration, only paid when the caller needs trace
-    objects — the ``run`` pipeline uses :func:`stream_graph_from_file`
-    instead and never decodes).  *shard_timeout* is the supervisor's
-    per-shard deadline (docs/ROBUSTNESS.md).
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown ingest mode {mode!r}; expected one of {MODES}")
-    if mode == "quarantine" and quarantine_dir is None:
-        raise ValueError("quarantine mode requires a quarantine_dir")
-    if format not in FORMATS:
-        raise ValueError(f"unknown trace format {format!r}; expected one of {FORMATS}")
-    with obs.span("ingest"):
-        results = fork_map(
-            _ingest_shard,
-            (lines, format, source, mode),
-            len(lines),
-            jobs,
-            timeout=shard_timeout,
-            obs=obs,
-            budget=budget,
-        )
-    _raise_earliest_strict_error(results)
-    report = IngestReport(source=source, mode=mode)
-    traces: List[Trace] = []
-    rejects: List[str] = []
-    for result in _merge_shard_tallies(results, report, rejects):
-        if result.block is not None:
-            traces.extend(unpack_traces(FlatTraces.from_bytes(result.block)))
-        else:
-            traces.extend(result.traces)
-    finalize_ingest(
-        report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
-    )
-    return traces, report
-
-
-def _raise_earliest_strict_error(results) -> None:
-    """Re-raise the strict-mode error with the smallest line number —
-    the exact record a serial pass would have raised on."""
-    strict_errors = [r.strict_error for r in results if r.strict_error is not None]
-    if strict_errors:
-        reason, line_number, text = min(strict_errors, key=lambda item: item[1])
-        raise TraceParseError(reason, line_number, text)
-
-
-def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]):
-    """Fold shard counts/errors/rejects into *report* in shard order.
-
-    Shard order is line order, so plain concatenation reproduces the
-    serial outcome — including which errors land inside the detailed
-    cap: each shard returns at most MAX_DETAILED_ERRORS records, and
-    truncating the in-order concatenation keeps exactly the first MAX.
-    Yields each result back so callers can splice their payloads in the
-    same order.  O(shards + errors + rejects).
-    """
-    for result in results:
-        report.parsed += result.parsed
-        report.malformed += result.malformed
-        report.skipped += result.skipped
-        rejects.extend(result.rejects)
-        remaining = MAX_DETAILED_ERRORS - len(report.errors)
-        if remaining > 0:
-            report.errors.extend(result.errors[:remaining])
-        yield result
-
-
-def ingest_trace_file_parallel(
-    path: Union[str, Path],
-    jobs: int,
-    *,
-    format: Optional[str] = None,
-    mode: str = "strict",
-    budget: Optional[ErrorBudget] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    obs: Observability = NULL_OBS,
-    shard_timeout: Optional[float] = None,
-) -> Tuple[List[Trace], IngestReport]:
-    """Sharded equivalent of :func:`repro.robust.ingest.ingest_trace_file`.
-
-    The whole file is read into memory up front — the line list is what
-    workers inherit through the fork — which is the right trade for the
-    bundle sizes this pipeline targets (the paper's full dataset is
-    tens of MB of text).
-    """
-    path = Path(path)
-    if format is None:
-        format = trace_format_for_path(path.name)
-    if mode == "quarantine" and quarantine_dir is None:
-        quarantine_dir = path.parent / "quarantine"
-    with open(path, errors="replace") as handle:
-        lines = handle.readlines()
-    return ingest_traces_parallel(
-        lines,
-        jobs,
-        format=format,
-        source=path.name,
-        mode=mode,
-        budget=budget,
-        quarantine_dir=quarantine_dir,
-        obs=obs,
-        shard_timeout=shard_timeout,
-    )
-
-
-# ----------------------------------------------------------------------
-# the fused streaming loader (parse + sanitize + neighbor fold, one fork)
-
-
-@dataclass
-class _FusedShardResult(_ShardResult):
-    """A fused worker's return: ingest tallies plus the shard's packed
-    graph bundle.  ``block`` is populated only when the parent asked
-    for a cache payload (and the shard parsed clean)."""
-
-    bundle: Optional[FlatGraphBundle] = None
-
-
-def _fused_shard(shard: Shard) -> _FusedShardResult:
-    """Parse, sanitize, and fold one text shard (worker process).
-
-    The copy-on-write payload is the *whole source text* as one string
-    plus a char-offset → line-number map: a handful of objects, so the
-    fork never walks a million-element line list.  The shard tuple is a
-    character range aligned to line boundaries.  O(bytes in shard);
-    pickles back tallies, one packed counter bundle, and (only when a
-    store is pending) one columnar block.
-    """
-    text, line_starts, format, source, mode, want_block = shared_payload()
-    start, end = shard
-    result = _FusedShardResult()
-    segment = text[start:end]
-    lines = segment.split("\n")
+    # "\n" only, as file iteration splits: str.splitlines would also
+    # break records on \x0c, \x1c or \u2028.
+    lines = text[start:end].split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    traces = _parse_lines(result, lines, line_starts[start], format, source, mode)
-    if traces is None:
-        return result
-    if want_block and result.malformed == 0:
-        try:
-            result.block = pack_traces(traces).to_bytes()
-        except FlatEncodeError:
-            result.block = None
-    report = sanitize_traces(traces)
-    is_special = default_special_registry().is_special
-    forward = {}
-    backward = {}
-    seen = set()
-    accumulate_neighbors(report.traces, forward, backward, seen, is_special)
-    counts = (len(report.traces), report.discarded, report.buggy_hops_removed)
-    result.bundle = bundle_tables(
-        forward, backward, seen, report.all_addresses, counts
-    )
+    result = _ShardResult()
+    builder = FlatBuilder()
+    if _parse_lines(result, builder, lines, line_starts[start], format, source, mode):
+        result.flat = builder.finish()
     return result
 
 
@@ -373,52 +239,32 @@ def _shard_spans(text: str, shards: int) -> Tuple[List[Shard], Dict[int, int]]:
     return spans, line_starts
 
 
-def stream_graph_from_file(
-    path: Union[str, Path],
-    jobs: int,
+def ingest_trace_text(
+    text: str,
+    jobs: int = 1,
     *,
-    format: Optional[str] = None,
+    format: str = "text",
+    source: str = "traces",
     mode: str = "strict",
     budget: Optional[ErrorBudget] = None,
     quarantine_dir: Optional[Union[str, Path]] = None,
     obs: Observability = NULL_OBS,
     shard_timeout: Optional[float] = None,
-    want_payload: bool = False,
-) -> Tuple[InterfaceGraph, IngestReport, Optional[bytes]]:
-    """Parse a traces file and build its interface graph in one fork.
+) -> Tuple[FlatTraces, IngestReport]:
+    """Parse *text* into columns across *jobs* spans under an ingestion
+    policy.
 
-    The ``run`` pipeline's hot path: each worker stream-parses its text
-    shard, sanitizes, and folds neighbor sets, returning a packed
-    counter bundle — parsed traces never cross the fork boundary in
-    either direction.  The parent re-raises strict errors (earliest
-    line), merges tallies in shard order, runs the shared
-    :func:`finalize_ingest` tail (same ``ingest.end`` event, budget
-    check, quarantine write), then merges bundles into the same
-    canonical graph — and same ``graph.built`` event — as the serial
-    ingest-then-build sequence.
-
-    With *want_payload* true (a cache store is pending) clean-parsing
-    workers also return their shard's columnar block; the returned
-    payload is the spliced whole-file block, or ``None`` when the parse
-    was dirty or any shard fell back.  O(file bytes) end to end;
-    pickled traffic is O(distinct addresses), not O(hops).
+    Equals ``pack_traces`` over :func:`repro.robust.ingest.ingest_traces`
+    of the same lines, with the same report, quarantine files and
+    exceptions, at any *jobs*.  *shard_timeout* is the supervisor's
+    per-span deadline (docs/ROBUSTNESS.md).  O(bytes).
     """
-    path = Path(path)
-    if format is None:
-        format = trace_format_for_path(path.name)
-    if mode not in MODES:
-        raise ValueError(f"unknown ingest mode {mode!r}; expected one of {MODES}")
-    if mode == "quarantine" and quarantine_dir is None:
-        quarantine_dir = path.parent / "quarantine"
-    if format not in FORMATS:
-        raise ValueError(f"unknown trace format {format!r}; expected one of {FORMATS}")
-    with open(path, errors="replace") as handle:
-        text = handle.read()
+    check_ingest_args(mode, format, quarantine_dir)
     spans, line_starts = _shard_spans(text, max(1, jobs))
-    with obs.span("ingest+graph"):
+    with obs.span("ingest"):
         results = fork_map(
-            _fused_shard,
-            (text, line_starts, format, path.name, mode, want_payload),
+            _parse_shard,
+            (text, line_starts, format, source, mode),
             len(spans),
             jobs,
             shards=spans,
@@ -427,21 +273,81 @@ def stream_graph_from_file(
             budget=budget,
         )
         _raise_earliest_strict_error(results)
-        report = IngestReport(source=path.name, mode=mode)
+        report = IngestReport(source=source, mode=mode)
         rejects: List[str] = []
-        blocks: List[Optional[bytes]] = []
-        for result in _merge_shard_tallies(results, report, rejects):
-            blocks.append(result.block)
-        finalize_ingest(
-            report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
-        )
-        graph = finish_graph_from_bundles(
-            [result.bundle for result in results if result.bundle is not None], obs
-        )
-    payload: Optional[bytes] = None
-    if want_payload and report.ok and all(block is not None for block in blocks):
-        payload = concat_flat_bytes([block for block in blocks if block is not None])
-    return graph, report, payload
+        _merge_shard_tallies(results, report, rejects)
+        flat = concat_flat([result.flat for result in results])
+    finalize_ingest(
+        report, rejects, budget=budget, quarantine_dir=quarantine_dir, obs=obs
+    )
+    return flat, report
+
+
+def _raise_earliest_strict_error(results) -> None:
+    """Re-raise the strict-mode error with the smallest line number —
+    the exact record a serial pass would have raised on."""
+    strict_errors = [r.strict_error for r in results if r.strict_error is not None]
+    if strict_errors:
+        reason, line_number, text = min(strict_errors, key=lambda item: item[1])
+        raise TraceParseError(reason, line_number, text)
+
+
+def _merge_shard_tallies(results, report: IngestReport, rejects: List[str]) -> None:
+    """Fold shard counts/errors/rejects into *report* in shard order.
+
+    Shard order is line order, so plain concatenation reproduces the
+    serial outcome — including which errors land inside the detailed
+    cap: each shard returns at most MAX_DETAILED_ERRORS records, and
+    truncating the in-order concatenation keeps exactly the first MAX.
+    O(shards + errors + rejects).
+    """
+    for result in results:
+        report.parsed += result.parsed
+        report.malformed += result.malformed
+        report.skipped += result.skipped
+        rejects.extend(result.rejects)
+        remaining = MAX_DETAILED_ERRORS - len(report.errors)
+        if remaining > 0:
+            report.errors.extend(result.errors[:remaining])
+
+
+def ingest_trace_file(
+    path: Union[str, Path],
+    jobs: int = 1,
+    *,
+    format: Optional[str] = None,
+    mode: str = "strict",
+    budget: Optional[ErrorBudget] = None,
+    quarantine_dir: Optional[Union[str, Path]] = None,
+    obs: Observability = NULL_OBS,
+    shard_timeout: Optional[float] = None,
+) -> Tuple[FlatTraces, IngestReport]:
+    """Parse a traces file into columns (:func:`ingest_trace_text`).
+
+    The columnar twin of :func:`repro.robust.ingest.ingest_trace_file`:
+    the format comes from the file's suffix and quarantine mode
+    defaults the reject directory to ``<file's parent>/quarantine``.
+    The whole file is read up front — the text is what workers inherit
+    through the fork.
+    """
+    path = Path(path)
+    if format is None:
+        format = trace_format_for_path(path.name)
+    if mode == "quarantine" and quarantine_dir is None:
+        quarantine_dir = path.parent / "quarantine"
+    with open(path, errors="replace") as handle:
+        text = handle.read()
+    return ingest_trace_text(
+        text,
+        jobs,
+        format=format,
+        source=path.name,
+        mode=mode,
+        budget=budget,
+        quarantine_dir=quarantine_dir,
+        obs=obs,
+        shard_timeout=shard_timeout,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +388,7 @@ def fold_graph_from_blocks(
     sanitize + build sequence: same tables (sorted-key canonical form),
     same gauges, same ``graph.built`` event.  O(total hops).
     """
-    is_special = default_special_registry().is_special
+    is_special = special_memo(default_special_registry().is_special)
     forward: Dict[int, set] = {}
     backward: Dict[int, set] = {}
     seen: set = set()

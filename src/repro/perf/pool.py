@@ -182,6 +182,9 @@ def fork_map(
 
     global _PAYLOAD
     ranges = list(shards) if shards is not None else shard_ranges(count, jobs)
+    # an inline worker may itself call fork_map (a sweep cell loading its
+    # world): the inner map must hand the outer payload back, not None
+    outer_payload = _PAYLOAD
     # mapitlint: disable=FORK001 -- parent-side CoW stash, set pre-fork
     _PAYLOAD = payload
     try:
@@ -207,4 +210,4 @@ def fork_map(
             )
     finally:
         # mapitlint: disable=FORK001 -- parent-side cleanup post-join
-        _PAYLOAD = None
+        _PAYLOAD = outer_payload

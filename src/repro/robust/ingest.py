@@ -50,11 +50,15 @@ MODES = ("strict", "lenient", "quarantine")
 FORMATS = ("text", "jsonl", "atlas")
 
 
-def _check_mode(mode: str, quarantine_dir) -> None:
+def check_ingest_args(mode: str, format: str, quarantine_dir) -> None:
+    """Reject an unknown mode or format, or quarantine without a
+    directory, before any record is read (shared by both ingesters)."""
     if mode not in MODES:
         raise ValueError(f"unknown ingest mode {mode!r}; expected one of {MODES}")
     if mode == "quarantine" and quarantine_dir is None:
         raise ValueError("quarantine mode requires a quarantine_dir")
+    if format not in FORMATS:
+        raise ValueError(f"unknown trace format {format!r}; expected one of {FORMATS}")
 
 
 def _snippet(line: str) -> str:
@@ -104,8 +108,10 @@ def parse_record(line: str, line_number: int, format: str) -> Optional[Trace]:
     Returns ``None`` for records the format says to skip silently
     (Atlas IPv6 / no-result measurements); raises
     :class:`~repro.traceroute.parse.TraceParseError` for malformed
-    input.  This is the single per-record entry point shared by the
-    serial ingester and the sharded parallel workers, so both reject
+    input.  This is the per-record entry point of the object ingester,
+    the serve daemon, and the column ingester's JSONL/Atlas records
+    (:mod:`repro.perf.ingest`; its text records use the same
+    :mod:`repro.traceroute.parse` helpers), so all of them reject
     exactly the same lines for exactly the same reasons.
     """
     if format == "text":
@@ -123,7 +129,7 @@ def finalize_ingest(
     quarantine_dir: Optional[Union[str, Path]] = None,
     obs: Observability = NULL_OBS,
 ) -> IngestReport:
-    """Post-parse policy shared by the serial and parallel ingesters:
+    """Post-parse policy shared by the object and column ingesters:
     judge the error budget over the whole source, write the quarantine
     files, and emit the ingest observability events/counters."""
     # The budget is judged over the whole source, not incrementally:
@@ -164,11 +170,11 @@ def ingest_traces(
 
     Returns the successfully parsed traces and an
     :class:`~repro.robust.errors.IngestReport` quantifying what was
-    rejected and why.
+    rejected and why.  Dataset loads parse into columns instead
+    (:func:`repro.perf.ingest.ingest_trace_text`); this object
+    ingester is the reference they are tested against.
     """
-    _check_mode(mode, quarantine_dir)
-    if format not in FORMATS:
-        raise ValueError(f"unknown trace format {format!r}; expected one of {FORMATS}")
+    check_ingest_args(mode, format, quarantine_dir)
     report = IngestReport(source=source, mode=mode)
     traces: List[Trace] = []
     rejects: List[str] = []

@@ -271,17 +271,16 @@ def journaled_run(
 ):
     """Run MAP-IT over *bundle*, journaling each durable unit.
 
-    Mirrors :func:`repro.core.run_mapit` exactly — same graph builders,
-    same engine, same result — with two additions: completed units go
-    to *journal*, and with ``resume=True`` the run first replays the
-    journal and continues from the last durable unit.  Either way the
-    returned result is byte-identical (``to_json``) to an uninterrupted
+    Mirrors :meth:`repro.io.InputBundle.run_mapit` exactly — same
+    columnar fold, same engine, same result — with two additions:
+    completed units go to *journal*, and with ``resume=True`` the run
+    first replays the journal and continues from the last durable unit
+    (a replayed graph blob skips the fold).  Either way the returned
+    result is byte-identical (``to_json``) to an uninterrupted
     unjournaled run.
     """
     from repro.core.mapit import MapIt
     from repro.core.results import MapItResult
-    from repro.graph.neighbors import build_interface_graph
-    from repro.traceroute.sanitize import sanitize_traces
 
     effective_obs = obs if obs is not None else NULL_OBS
 
@@ -314,28 +313,7 @@ def journaled_run(
                 effective_obs.inc("robust.journal.blob_corrupt")
                 graph = None
     if graph is None:
-        if getattr(bundle, "graph", None) is not None:
-            # The fused loader already built (and instrumented) the
-            # graph at load time; journal it like a fresh build so a
-            # resume can replay it.
-            graph = bundle.graph
-        elif jobs > 1:
-            from repro.perf.graph import build_graph_parallel
-
-            graph = build_graph_parallel(
-                bundle.traces, jobs, obs=effective_obs, shard_timeout=shard_timeout
-            )
-        elif obs is not None:
-            with obs.span("sanitize"):
-                report = sanitize_traces(bundle.traces)
-            graph = build_interface_graph(
-                report.traces, all_addresses=report.all_addresses, obs=obs
-            )
-        else:
-            report = sanitize_traces(bundle.traces)
-            graph = build_interface_graph(
-                report.traces, all_addresses=report.all_addresses
-            )
+        graph = bundle.build_graph(effective_obs, jobs, shard_timeout)
         journal.append_with_blob(
             "graph", "graph", pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
         )

@@ -30,7 +30,13 @@ from repro.graph.othersides import infer_other_sides
 from repro.net.special import SpecialPurposeRegistry, default_special_registry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
-from repro.perf.flat import FlatEncodeError, FlatTraces, accumulate_flat, pack_traces
+from repro.perf.flat import (
+    FlatEncodeError,
+    FlatTraces,
+    accumulate_flat,
+    pack_traces,
+    special_memo,
+)
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
 from repro.traceroute.sanitize import sanitize_traces
@@ -56,7 +62,10 @@ class IncrementalIndex:
         self.discarded = 0
         self.buggy = 0
         self.obs = obs
-        self._is_special = (special or default_special_registry()).is_special
+        # the memo lives exactly as long as the tables it feeds
+        self._is_special = special_memo(
+            (special or default_special_registry()).is_special
+        )
         self._dirty: Set[Tuple[int, bool]] = set()
         #: universe size when the other-side table was last computed;
         #: -1 forces the first quiesce to build it

@@ -41,11 +41,12 @@ def _hop_from_result(hop_record: dict) -> Hop:
         if rtt is None:
             rtt = 0.0
         try:
-            return Hop(
-                parse_address(address_text), quoted_ttl=int(ttl), rtt_ms=float(rtt)
-            )
+            quoted, rtt_ms = int(ttl), float(rtt)
         except (TypeError, ValueError):
             continue  # non-numeric ttl/rtt: treat this probe as unusable
+        if not 0 <= quoted <= 255:
+            continue  # a TTL no IPv4 header can carry: equally unusable
+        return Hop(parse_address(address_text), quoted_ttl=quoted, rtt_ms=rtt_ms)
     return Hop(None)
 
 

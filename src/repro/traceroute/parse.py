@@ -66,9 +66,17 @@ def parse_text_trace(line: str, line_number: Optional[int] = None) -> Trace:
     """Parse one non-blank line of the compact text format.
 
     Raises :class:`TraceParseError` for malformed input: fewer than two
-    ``|`` separators, bad destination or hop addresses, or non-numeric
-    quoted TTLs.
+    ``|`` separators, bad destination or hop addresses, or quoted TTLs
+    that are not 0–255 in plain ASCII digits.
     """
+    monitor, dst_text, hops_text = text_fields(line, line_number)
+    dst = text_destination(dst_text, line_number, line)
+    hops = [text_hop(token, line_number, line) for token in hops_text.split()]
+    return Trace(monitor, dst, tuple(hops))
+
+
+def text_fields(line: str, line_number: Optional[int] = None) -> List[str]:
+    """Split a text-format record into ``[monitor, dst, hops]``."""
     parts = line.split("|", 2)
     if len(parts) != 3:
         raise TraceParseError(
@@ -76,29 +84,42 @@ def parse_text_trace(line: str, line_number: Optional[int] = None) -> Trace:
             line_number,
             line,
         )
-    monitor, dst_text, hops_text = parts
+    return parts
+
+
+def text_destination(text: str, line_number: Optional[int], line: str) -> int:
+    """Validate a text-format destination token (errors name *line*)."""
     try:
-        dst = parse_address(dst_text)
+        return parse_address(text)
     except AddressError as exc:
         raise TraceParseError(f"bad destination: {exc}", line_number, line) from exc
-    hops: List[Hop] = []
-    for token in hops_text.split():
-        if token == "*":
-            hops.append(Hop(None))
-            continue
-        addr_text, _, ttl_text = token.partition("@")
-        try:
-            quoted = int(ttl_text) if ttl_text else 1
-        except ValueError as exc:
-            raise TraceParseError(
-                f"bad quoted TTL {ttl_text!r}", line_number, line
-            ) from exc
-        try:
-            address = parse_address(addr_text)
-        except AddressError as exc:
-            raise TraceParseError(f"bad hop address: {exc}", line_number, line) from exc
-        hops.append(Hop(address, quoted))
-    return Trace(monitor, dst, tuple(hops))
+
+
+def text_hop(token: str, line_number: Optional[int], line: str) -> Hop:
+    """Validate one text-format hop token: ``*`` or ``address[@ttl]``.
+
+    The quoted TTL is checked before the address.  It follows the rule
+    :func:`~repro.net.ipv4.parse_address` applies to an octet: plain
+    ASCII digits, no leading zero, at most 255 (an empty TTL means 1).
+    """
+    if token == "*":
+        return Hop(None)
+    addr_text, _, ttl_text = token.partition("@")
+    quoted = 1
+    if ttl_text:
+        if (
+            not ttl_text.isascii()
+            or not ttl_text.isdigit()
+            or (len(ttl_text) > 1 and ttl_text[0] == "0")
+            or int(ttl_text) > 255
+        ):
+            raise TraceParseError(f"bad quoted TTL {ttl_text!r}", line_number, line)
+        quoted = int(ttl_text)
+    try:
+        address = parse_address(addr_text)
+    except AddressError as exc:
+        raise TraceParseError(f"bad hop address: {exc}", line_number, line) from exc
+    return Hop(address, quoted)
 
 
 def parse_text_traces(lines: Iterable[str]) -> Iterator[Trace]:
@@ -190,6 +211,10 @@ def parse_json_trace(line: str, line_number: Optional[int] = None) -> Trace:
             rtt = 0.0 if rtt_raw is None else float(rtt_raw)
         except (TypeError, ValueError) as exc:
             raise TraceParseError(f"bad hop field: {exc}", line_number, line) from exc
+        if not 0 <= reply_ttl <= 255:
+            raise TraceParseError(
+                f"reply_ttl {reply_ttl} out of range 0-255", line_number, line
+            )
         hops.append(Hop(address, reply_ttl, rtt))
     monitor = record.get("src") or ""
     if not isinstance(monitor, str):

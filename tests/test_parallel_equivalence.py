@@ -13,7 +13,8 @@ import pytest
 
 from repro.cli import main
 from repro.perf.cache import BundleCache
-from repro.perf.ingest import ingest_traces_parallel
+from repro.perf.flat import unpack_traces
+from repro.perf.ingest import ingest_trace_text
 from repro.perf.pool import shard_ranges
 from repro.robust.errors import MAX_DETAILED_ERRORS, ErrorBudget, ErrorBudgetExceeded
 from repro.robust.ingest import ingest_traces
@@ -24,6 +25,13 @@ GOOD = [
     "m1|9.1.0.9|9.0.0.1 * 9.1.0.2@0",
     "m2|9.1.0.9|9.0.0.2 9.1.0.1",
 ]
+
+
+def ingest_traces_sharded(lines, jobs, **kwargs):
+    """The sharded column ingester over *lines*, decoded to traces."""
+    text = "".join(line + "\n" for line in lines)
+    flat, report = ingest_trace_text(text, jobs, **kwargs)
+    return unpack_traces(flat), report
 
 
 class TestShardRanges:
@@ -48,7 +56,7 @@ class TestIngestEquivalence:
         serial_traces, serial_report = ingest_traces(
             lines, mode=mode, quarantine_dir=tmp_path / "qs", **kwargs
         )
-        traces, report = ingest_traces_parallel(
+        traces, report = ingest_traces_sharded(
             lines, jobs, mode=mode, quarantine_dir=tmp_path / "qp", **kwargs
         )
         assert traces == serial_traces
@@ -67,19 +75,19 @@ class TestIngestEquivalence:
         with pytest.raises(TraceParseError) as serial:
             ingest_traces(lines, mode="strict")
         with pytest.raises(TraceParseError) as parallel:
-            ingest_traces_parallel(lines, jobs, mode="strict")
+            ingest_traces_sharded(lines, jobs, mode="strict")
         assert parallel.value.line_number == serial.value.line_number == 4
         assert parallel.value.reason == serial.value.reason
 
     def test_error_budget_applies(self):
         lines = (GOOD * 10) + ["junk"] * 10
         with pytest.raises(ErrorBudgetExceeded):
-            ingest_traces_parallel(lines, 4, mode="lenient", budget=ErrorBudget(0.1))
+            ingest_traces_sharded(lines, 4, mode="lenient", budget=ErrorBudget(0.1))
 
     def test_detailed_error_cap_matches_serial(self):
         lines = ["junk %d" % i for i in range(MAX_DETAILED_ERRORS + 50)]
         _, serial_report = ingest_traces(lines, mode="lenient")
-        _, report = ingest_traces_parallel(lines, 4, mode="lenient")
+        _, report = ingest_traces_sharded(lines, 4, mode="lenient")
         assert report.malformed == serial_report.malformed
         assert report.errors == serial_report.errors
         assert len(report.errors) == MAX_DETAILED_ERRORS

@@ -16,7 +16,7 @@ from repro.perf.flat import (
     FlatEncodeError,
     FlatTraces,
     accumulate_flat,
-    concat_flat_bytes,
+    concat_flat,
     encode_addresses,
     encode_table,
     merge_address_blob,
@@ -112,15 +112,15 @@ class TestBlockCodec:
         rng = random.Random(20260809)
         traces = _random_traces(rng)
         blocks = [
-            pack_traces(traces[start:start + 7]).to_bytes()
+            pack_traces(traces[start:start + 7])
             for start in range(0, len(traces), 7)
         ]
-        merged = FlatTraces.from_bytes(concat_flat_bytes(blocks))
+        merged = concat_flat(blocks)
         assert unpack_traces(merged) == traces
-        assert concat_flat_bytes(blocks) == pack_traces(traces).to_bytes()
+        assert merged.to_bytes() == pack_traces(traces).to_bytes()
 
     def test_concat_empty(self):
-        assert concat_flat_bytes([]) == pack_traces([]).to_bytes()
+        assert concat_flat([]).to_bytes() == pack_traces([]).to_bytes()
 
     def test_out_of_range_fields_raise(self):
         with pytest.raises(FlatEncodeError):

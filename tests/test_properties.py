@@ -349,7 +349,8 @@ class TestSeededTraceLineFuzz:
         """Over a fuzzed corpus, lenient ingest never raises and its
         counts partition the non-blank, non-comment lines exactly —
         under the serial and the sharded ingester alike."""
-        from repro.perf.ingest import ingest_traces_parallel
+        from repro.perf.flat import unpack_traces
+        from repro.perf.ingest import ingest_trace_text
         from repro.robust.ingest import ingest_traces
 
         rng = random.Random(0x5EED)
@@ -362,8 +363,10 @@ class TestSeededTraceLineFuzz:
         traces, report = ingest_traces(lines, mode="lenient")
         assert report.parsed + report.malformed == records
         assert report.parsed == len(traces)
-        par_traces, par_report = ingest_traces_parallel(lines, 4, mode="lenient")
-        assert par_traces == traces
+        par_flat, par_report = ingest_trace_text(
+            "".join(line + "\n" for line in lines), 4, mode="lenient"
+        )
+        assert unpack_traces(par_flat) == traces
         assert (par_report.parsed, par_report.malformed) == (
             report.parsed,
             report.malformed,

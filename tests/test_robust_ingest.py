@@ -67,8 +67,13 @@ class TestTraceParseError:
         assert "hop address" in excinfo.value.reason
 
     def test_bad_quoted_ttl(self):
-        with pytest.raises(TraceParseError):
-            parse_text_trace("m1|9.0.0.9|9.0.0.1@x")
+        # ASCII digits, no leading zero, 0-255: the octet rule
+        for ttl in ("x", "\u0661", "1_0", "-3", "+0", "256", "01", "9" * 20):
+            with pytest.raises(TraceParseError) as excinfo:
+                parse_text_trace(f"m1|9.0.0.9|9.0.0.1@{ttl}")
+            assert "quoted TTL" in excinfo.value.reason
+        trace = parse_text_trace("m1|9.0.0.9|9.0.0.1@0 9.0.0.2@255 9.0.0.3@")
+        assert [hop.quoted_ttl for hop in trace.hops] == [0, 255, 1]
 
     def test_is_a_value_error(self):
         """Callers catching the historical ValueError still work."""
@@ -120,6 +125,15 @@ class TestJsonParseErrors:
         assert trace.hops[0].rtt_ms == 0.0
         assert trace.hops[0].quoted_ttl == 1
 
+    def test_reply_ttl_out_of_range(self):
+        for reply_ttl in (256, -1, 10**20):
+            line = (
+                '{"dst":"9.0.0.9","hop_count":1,'
+                f'"hops":[{{"probe_ttl":1,"addr":"9.0.0.1","reply_ttl":{reply_ttl}}}]}}'
+            )
+            with pytest.raises(TraceParseError):
+                parse_json_trace(line)
+
     def test_reply_ttl_zero_preserved(self):
         """Quoted TTL 0 is the buggy-router signature; null-handling
         must not rewrite it to 1."""
@@ -156,12 +170,15 @@ class TestAtlasNullFields:
             "result": [
                 {"hop": None, "result": [{"from": "9.0.0.1"}]},
                 {"hop": 2, "result": [None, {"from": "9.0.0.2", "rtt": "slow"}]},
+                {"hop": 3, "result": [{"from": "9.0.0.3", "ittl": 256}]},
+                {"hop": 4, "result": [{"from": "9.0.0.4", "ittl": -1}]},
             ],
         }
         trace = parse_atlas_measurement(record)
-        # hop:null entry is dropped; non-numeric rtt makes its probe
-        # unusable, the hop falls back to a gap rather than crashing
-        assert [hop.address for hop in trace.hops] == [None, None]
+        # hop:null entry is dropped; a non-numeric rtt or an ittl outside
+        # 0-255 makes its probe unusable, the hop falls back to a gap
+        # rather than crashing
+        assert [hop.address for hop in trace.hops] == [None, None, None, None]
 
 
 class TestIngestModes:
