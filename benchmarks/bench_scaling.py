@@ -1,7 +1,7 @@
 """Runtime scaling of the pipeline's hot components.
 
 Not a paper table — engineering benchmarks for the substrate: LPM trie
-lookups, trace sanitization, neighbor-set extraction, the full MAP-IT
+and flat address-table lookups, trace sanitization, neighbor-set extraction, the full MAP-IT
 loop, and the ``repro.perf`` execution layer (the columnar load path
 behind ``--jobs``, and the binary parsed-bundle cache) on the dense
 preset.
@@ -13,7 +13,10 @@ Standalone mode::
 times ``jobs=1`` against ``jobs=4`` end-to-end (columnar load), asserts
 byte-identity, and exits non-zero when ``jobs=4`` runs slower than
 ``jobs=1`` by more than ``--tolerance`` (default 1.10, i.e. parallel
-overhead must stay within 10% even on a single-CPU runner).
+overhead must stay within 10% even on a single-CPU runner).  It also
+exits non-zero when the flat address table answers any of the lookup
+benchmark's queries differently from the trie, or answers them less
+than ``TABLE_MIN_SPEEDUP`` times faster.
 """
 
 import os
@@ -25,22 +28,55 @@ from conftest import PAPER_SEED, publish
 from repro import MapIt, MapItConfig
 from repro.graph.neighbors import build_interface_graph
 from repro.net.prefix import prefix_of
+from repro.net.table import BGP, AddressTable
 from repro.net.trie import PrefixTrie
 from repro.traceroute.sanitize import sanitize_traces
 
+#: the smoke gate's floor on trie time / table time for the lookup set
+TABLE_MIN_SPEEDUP = 3.0
 
-def test_trie_lookup_throughput(benchmark):
+
+def _lookup_set():
+    """20k random prefixes (in a trie, and flattened into a table that
+    answers -1 where the trie has no match) and 10k random queries."""
     rng = random.Random(0)
     trie = PrefixTrie()
     for index in range(20_000):
         trie.insert(prefix_of(rng.getrandbits(32), rng.randint(8, 24)), index)
     queries = [rng.getrandbits(32) for _ in range(10_000)]
+    table = AddressTable.build(
+        [((address, length, index, BGP) for address, length, index in trie.raw_items())],
+        default_asn=-1,
+    )
+    return trie, table, queries
+
+
+def _trie_answers(trie, queries):
+    return [trie.lookup_value(query) for query in queries]
+
+
+def _table_answers(table, queries):
+    return [table.asn(query) for query in queries]
+
+
+def test_trie_lookup_throughput(benchmark):
+    trie, _, queries = _lookup_set()
 
     def lookup_all():
         return sum(1 for query in queries if trie.lookup_value(query) is not None)
 
     hits = benchmark(lookup_all)
     assert hits > 0
+
+
+def test_table_lookup_throughput(benchmark):
+    trie, table, queries = _lookup_set()
+
+    def lookup_all():
+        return sum(1 for query in queries if table.asn(query) != -1)
+
+    hits = benchmark(lookup_all)
+    assert hits == sum(1 for query in queries if trie.lookup_value(query) is not None)
 
 
 def test_sanitize_throughput(benchmark, paper_experiment):
@@ -147,8 +183,41 @@ def test_parallel_jobs_and_cache_sweep(tmp_path_factory):
     )
 
 
+def _table_smoke(repeats: int) -> int:
+    """The lookup set through the trie and the table: identical answers
+    (uncovered is None in one, -1 in the other), and the table at least
+    :data:`TABLE_MIN_SPEEDUP` times faster, best of *repeats*."""
+    trie, table, queries = _lookup_set()
+    best = {"trie": float("inf"), "table": float("inf")}
+    answers = {}
+    # alternate the two so a burst of host load hits both alike
+    for _ in range(repeats):
+        for name, answer, structure in (
+            ("trie", _trie_answers, trie),
+            ("table", _table_answers, table),
+        ):
+            start = time.perf_counter()
+            answers[name] = answer(structure, queries)
+            best[name] = min(best[name], time.perf_counter() - start)
+    if answers["table"] != [-1 if value is None else value for value in answers["trie"]]:
+        print("FAIL: the address table and the trie disagree")
+        return 1
+    speedup = best["trie"] / best["table"]
+    print(
+        f"  lookups: trie {best['trie'] * 1e3:.1f}ms, table {best['table'] * 1e3:.1f}ms "
+        f"for {len(queries)} queries over {len(table)} intervals "
+        f"({speedup:.1f}x, floor {TABLE_MIN_SPEEDUP:.1f}x)"
+    )
+    if speedup < TABLE_MIN_SPEEDUP:
+        print(f"FAIL: the table is only {speedup:.1f}x the trie")
+        return 1
+    return 0
+
+
 def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
-    """Standalone CI gate: jobs=4 must stay within *tolerance* of jobs=1.
+    """Standalone CI gate: jobs=4 must stay within *tolerance* of jobs=1,
+    and the address table must match the trie and beat it (see
+    :func:`_table_smoke`).
 
     Times the end-to-end pipeline (columnar load + inference) best-of-
     *repeats* for each worker count, asserts byte-identity, and returns
@@ -185,6 +254,8 @@ def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
     if ratio > budget:
         print(f"FAIL: jobs=4 is {ratio:.2f}x jobs=1 (allowed {budget:.2f}x)")
         return 1
+    if _table_smoke(2 * repeats + 1):
+        return 1
     print("OK")
     return 0
 
@@ -196,7 +267,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run the jobs=4-vs-jobs=1 regression gate and exit",
+        help="run the jobs=4-vs-jobs=1 and table-vs-trie regression gates and exit",
     )
     parser.add_argument(
         "--tolerance",

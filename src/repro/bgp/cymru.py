@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Tuple
 
+from repro.net.ipv4 import parse_asn
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 
@@ -50,5 +51,5 @@ class CymruTable:
             if not line or line.startswith("#"):
                 continue
             prefix_text, _, asn_text = line.partition("|")
-            table.add(Prefix.parse(prefix_text), int(asn_text))
+            table.add(Prefix.parse(prefix_text), parse_asn(asn_text))
         return table

@@ -12,18 +12,33 @@ Lookup layering mirrors section 5 of the paper:
 Addresses covered by none of these map to :data:`UNKNOWN_AS`; the paper
 reports 99.2% coverage of usable interfaces, and explicitly declines to
 update mappings of unannounced addresses.
+
+The layers arrive as tries (the builders' construction input) and are
+flattened once, when the :class:`IP2AS` is made, into one
+:class:`~repro.net.table.AddressTable`: every query is then a single
+bisect, and a sorted batch one merge walk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.bgp.cymru import CymruTable
 from repro.bgp.origins import OriginTable
 from repro.ixp.dataset import IXPDataset
 from repro.net.prefix import Prefix
 from repro.net.special import SpecialPurposeRegistry, default_special_registry
+from repro.net.table import (
+    BGP,
+    CYMRU,
+    IXP,
+    LAYER_NAMES,
+    PAIRS,
+    SPECIAL,
+    AddressTable,
+)
 from repro.net.trie import PrefixTrie
 
 #: Sentinel for addresses no layer covers.
@@ -40,11 +55,15 @@ class _Entry:
     source: str
 
 
+_SOURCE_LAYERS = {"bgp": BGP, "cymru": CYMRU, "pairs": PAIRS}
+
+
 class IP2AS:
     """Immutable composite address-to-AS mapper.
 
     Use :class:`IP2ASBuilder` to construct one from datasets, or
-    :meth:`from_pairs` in tests.
+    :meth:`from_pairs` in tests.  The datasets are read once, here:
+    later changes to *special* or *ixp* do not reach the mapper.
     """
 
     def __init__(
@@ -53,9 +72,33 @@ class IP2AS:
         special: SpecialPurposeRegistry,
         ixp: Optional[IXPDataset] = None,
     ) -> None:
-        self._trie = trie
-        self._special = special
-        self._ixp = ixp or IXPDataset()
+        self._ixp = IXPDataset(ixp or ())
+        table = AddressTable.build(
+            (
+                (
+                    (prefix.address, prefix.length, PRIVATE_AS, SPECIAL)
+                    for prefix in special.prefixes()
+                ),
+                (
+                    (
+                        record.prefix.address,
+                        record.prefix.length,
+                        IXP_AS if record.asn is None else record.asn,
+                        IXP,
+                    )
+                    for record in self._ixp
+                ),
+                (
+                    (address, length, entry.origin, _SOURCE_LAYERS[entry.source])
+                    for address, length, entry in trie.raw_items()
+                ),
+            ),
+            default_asn=UNKNOWN_AS,
+        )
+        self._table = table
+        self._starts = table.starts
+        self._asns = table.asns
+        self._layers = table.layers
 
     @classmethod
     def from_pairs(
@@ -74,7 +117,7 @@ class IP2AS:
             if isinstance(prefix, str):
                 prefix = Prefix.parse(prefix)
             trie.insert(prefix, _Entry(asn, "pairs"))
-        return cls(trie, special or default_special_registry(), ixp)
+        return cls(trie, default_special_registry() if special is None else special, ixp)
 
     def asn(self, address: int) -> int:
         """The origin AS for *address*.
@@ -84,21 +127,25 @@ class IP2AS:
         addresses, and :data:`UNKNOWN_AS` when nothing covers the
         address.
         """
-        if self._special.is_special(address):
-            return PRIVATE_AS
-        if self._ixp.covers(address):
-            ixp_asn = self._ixp.asn_for(address)
-            return ixp_asn if ixp_asn is not None else IXP_AS
-        entry = self._trie.lookup_value(address)
-        return entry.origin if entry is not None else UNKNOWN_AS
+        return self._asns[bisect_right(self._starts, address) - 1]
+
+    def resolve_sorted(self, addresses: Iterable[int]) -> Iterator[int]:
+        """:meth:`asn` of each address of an ascending sequence, in
+        order, by one merge walk over the table (O(n + intervals))."""
+        return self._table.resolve_sorted(addresses)
 
     def is_private(self, address: int) -> bool:
         """True for special-purpose/private addresses."""
-        return self._special.is_special(address)
+        return self._layers[bisect_right(self._starts, address) - 1] == SPECIAL
 
     def is_ixp(self, address: int) -> bool:
         """True for addresses on known IXP LAN prefixes."""
-        return self._ixp.covers(address)
+        layer = self._layers[bisect_right(self._starts, address) - 1]
+        if layer == SPECIAL:
+            # an IXP LAN inside special-purpose space answers "special"
+            # in the table; only the IXP directory itself can tell
+            return self._ixp.covers(address)
+        return layer == IXP
 
     def is_mapped(self, address: int) -> bool:
         """True when some layer resolves *address* to an AS or marker."""
@@ -106,12 +153,7 @@ class IP2AS:
 
     def source(self, address: int) -> str:
         """Which layer resolved *address* (for diagnostics)."""
-        if self._special.is_special(address):
-            return "special"
-        if self._ixp.covers(address):
-            return "ixp"
-        entry = self._trie.lookup_value(address)
-        return entry.source if entry is not None else "unknown"
+        return LAYER_NAMES[self._layers[bisect_right(self._starts, address) - 1]]
 
     def coverage(self, addresses: Iterable[int]) -> float:
         """Fraction of *addresses* that resolve to something known."""

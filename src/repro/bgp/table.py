@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Tuple
 
+from repro.net.ipv4 import parse_asn
 from repro.net.prefix import Prefix
 
 
@@ -46,7 +47,7 @@ class Announcement:
         prefix_text, _, path_text = line.strip().partition("|")
         if not path_text:
             raise ValueError(f"malformed announcement line: {line!r}")
-        path = tuple(int(tok) for tok in path_text.split())
+        path = tuple(parse_asn(token) for token in path_text.split())
         return cls(Prefix.parse(prefix_text), path)
 
 

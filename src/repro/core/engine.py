@@ -122,22 +122,21 @@ class Engine:
         return asn
 
     def prime_origins(self, addresses) -> int:
-        """Warm the origin cache with one sorted, batched LPM pass.
+        """Warm the origin cache with one merge walk over the sorted
+        addresses (:meth:`repro.bgp.ip2as.IP2AS.resolve_sorted`).
 
-        Resolving addresses in sorted order walks the longest-prefix
-        trie through shared prefixes back to back instead of faulting
-        lookups in one neighbor at a time mid-pass.  Purely a cache
-        warm: each entry is exactly what :meth:`original_asn` would
-        compute on demand.  Returns how many addresses were resolved.
+        The walk visits each interval of the IP2AS table at most once
+        instead of bisecting per address, and fills the cache before
+        the passes start instead of faulting lookups in one neighbor at
+        a time mid-pass.  Purely a cache warm: each entry is exactly
+        what :meth:`original_asn` would compute on demand.  Returns how
+        many addresses were new to the cache.
         """
         cache = self._origin_cache
-        asn = self.ip2as.asn
-        warmed = 0
-        for address in sorted(set(addresses)):
-            if address not in cache:
-                cache[address] = asn(address)
-                warmed += 1
-        return warmed
+        before = len(cache)
+        ordered = sorted(addresses)
+        cache.update(zip(ordered, self.ip2as.resolve_sorted(ordered)))
+        return len(cache) - before
 
     def half_asn(self, half: Half) -> int:
         """Current (snapshot) mapping of *half* (section 4.4.1's per-half

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.graph.othersides import OtherSideTable, infer_other_sides
-from repro.net.special import SpecialPurposeRegistry, default_special_registry
+from repro.net.special import RFC6890_TABLE, SpecialPurposeRegistry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.traceroute.model import Trace
 
@@ -137,8 +137,7 @@ def build_interface_graph(
     other-side heuristic — the paper includes addresses from discarded
     traces there.  It defaults to the addresses seen in *traces*.
     """
-    special = special or default_special_registry()
-    is_special = special.is_special
+    is_special = RFC6890_TABLE.covers if special is None else special.is_special
     graph = InterfaceGraph()
     forward, backward = graph.forward, graph.backward
     seen: Set[int] = set()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
+from repro.net.ipv4 import parse_asn
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 
@@ -31,7 +32,7 @@ class IXPRecord:
     @classmethod
     def from_line(cls, line: str) -> "IXPRecord":
         prefix_text, asn_text, name = (line.strip().split("|", 2) + ["", ""])[:3]
-        asn = None if asn_text in ("", "-") else int(asn_text)
+        asn = None if asn_text in ("", "-") else parse_asn(asn_text)
         return cls(Prefix.parse(prefix_text), asn, name)
 
 

@@ -9,6 +9,8 @@ fast and allocation-free.
 from __future__ import annotations
 
 MAX_ADDRESS = (1 << 32) - 1
+#: the largest 4-byte AS number (RFC 6793)
+MAX_ASN = (1 << 32) - 1
 
 
 class AddressError(ValueError):
@@ -56,6 +58,25 @@ def format_address(value: int) -> str:
     return ".".join(
         str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
     )
+
+
+def parse_asn(text: str) -> int:
+    """Parse an AS number field of a dataset file.
+
+    ASCII digits only (no sign, ``_``, whitespace or leading zero) and
+    1..:data:`MAX_ASN`: ``int()`` alone would accept ``"-1"`` and
+    ``"0"``, which collide with the IP2AS markers, and ``"١"`` or
+    ``" 7"``.  Raises ValueError otherwise.
+
+    >>> parse_asn("64512")
+    64512
+    """
+    if not text.isascii() or not text.isdigit() or text[0] == "0" or len(text) > 10:
+        raise ValueError(f"bad AS number {text!r}")
+    value = int(text)
+    if value > MAX_ASN:
+        raise ValueError(f"AS number {value} out of range")
+    return value
 
 
 def is_valid_address(text: str) -> bool:

@@ -47,6 +47,9 @@ class Prefix:
         addr_text, _, len_text = text.partition("/")
         if not len_text:
             raise ValueError(f"missing prefix length: {text!r}")
+        # ASCII digits only: int() also takes "+8", " 8", "0_8" and "٨"
+        if not len_text.isascii() or not len_text.isdigit():
+            raise ValueError(f"bad prefix length in {text!r}")
         return cls(parse_address(addr_text), int(len_text))
 
     @property

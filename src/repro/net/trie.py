@@ -116,11 +116,17 @@ class PrefixTrie:
 
     def items(self) -> Iterator[Tuple[Prefix, Any]]:
         """Iterate ``(prefix, value)`` pairs in address order."""
+        for address, length, value in self.raw_items():
+            yield Prefix(address, length), value
+
+    def raw_items(self) -> Iterator[Tuple[int, int, Any]]:
+        """Iterate ``(address, length, value)`` in address order without
+        building a :class:`Prefix` per entry (the address table's input)."""
         stack: List[Tuple[list, int, int]] = [(self._root, 0, 0)]
         while stack:
             node, address, depth = stack.pop()
             if node[_HAS]:
-                yield Prefix(address, depth), node[_VALUE]
+                yield address, depth, node[_VALUE]
             if node[_ONE] is not None:
                 stack.append(
                     (node[_ONE], address | (1 << (31 - depth)), depth + 1)

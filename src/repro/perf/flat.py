@@ -22,8 +22,8 @@ sharded execution layer moves around instead:
   executed directly over the columns, producing exactly the tallies of
   ``sanitize_traces`` + ``accumulate_neighbors`` without materializing
   a single ``Hop`` (property-tested against the object kernel in
-  ``tests/test_perf_flat.py``); :func:`special_memo` lets it consult
-  the RFC 6890 registry once per distinct address.
+  ``tests/test_perf_flat.py``); its callers pass the RFC 6890 check
+  as one bisect into :data:`repro.net.special.RFC6890_TABLE`.
 * :func:`encode_table` / :func:`merge_table_blob` /
   :func:`encode_addresses` / :func:`merge_address_blob` — the counter
   bundle codec: neighbor tables and address sets as packed ``uint32``
@@ -33,10 +33,9 @@ sharded execution layer moves around instead:
   worker returns across the fork boundary and the deterministic
   parent-side merge (set union + sorted key rebuild, so worker
   scheduling order cannot leak into results).
-* :func:`resolve_origins` / :func:`graph_address_universe` — batched
-  LPM lookups: resolve a sorted address batch through
-  :meth:`repro.bgp.ip2as.IP2AS.asn` once per run instead of letting the
-  engine fault them in one neighbor at a time mid-pass.
+* :func:`graph_address_universe` — every address the passes can ask
+  the IP2AS mapper about, which the engine resolves in one merge walk
+  (:meth:`repro.core.engine.Engine.prime_origins`) before the passes.
 
 Everything here is an optimization, never a semantic change: the
 golden-bundle, oracle-differential, and chaos harnesses hold every
@@ -53,12 +52,9 @@ from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.net.table import U32
 from repro.traceroute.model import Hop, Trace
 
-#: array typecode with a 4-byte unsigned item (u32 addresses)
-U32 = "I" if array("I").itemsize == 4 else "L"
-if array(U32).itemsize != 4:  # pragma: no cover - no such CPython platform
-    raise ImportError("repro.perf.flat requires a 4-byte unsigned array type")
 #: signed 8-byte items (quoted TTLs and flow ids are unbounded ints)
 I64 = "q"
 #: IEEE double items (RTTs round-trip exactly)
@@ -363,34 +359,6 @@ def concat_flat(parts: Sequence[FlatTraces]) -> FlatTraces:
     return merged
 
 
-class _SpecialMemo(dict):
-    """Address → ``is_special`` answer, computed on first lookup."""
-
-    __slots__ = ("_is_special",)
-
-    def __init__(self, is_special: Callable[[int], bool]) -> None:
-        super().__init__()
-        self._is_special = is_special
-
-    def __missing__(self, address: int) -> bool:
-        value = self[address] = self._is_special(address)
-        return value
-
-
-def special_memo(is_special: Callable[[int], bool]) -> Callable[[int], bool]:
-    """Memoize *is_special* per distinct address.
-
-    The fold asks once per hop, but a dataset has far fewer distinct
-    addresses than hops, and each miss is an RFC 6890 trie walk.  The
-    returned callable is a bound ``dict.__getitem__`` (a C call on a
-    hit).  Keep one memo for as long as the tables it feeds (one fold
-    shard, one stress stream, one serve index), not on the registry: a later
-    :meth:`~repro.net.special.SpecialPurposeRegistry.add` would make a
-    registry-wide memo stale.
-    """
-    return _SpecialMemo(is_special).__getitem__
-
-
 # ----------------------------------------------------------------------
 # the flat sanitize + neighbor-set kernel
 
@@ -429,11 +397,12 @@ def accumulate_flat(
 
     Neighbor sets record membership, not multiplicity, so each chunk of
     traces first collects its *distinct* adjacent pairs and addresses
-    (C-speed set updates) and only those reach the tables and
-    *is_special* — a dataset repeats the same few links across many
-    traces.  Returns ``(retained, discarded, buggy_hops_removed)``.
-    O(hops in range); equality with the object kernel is
-    property-tested in ``tests/test_perf_flat.py``.
+    (C-speed set updates) and only those reach the tables, and
+    *is_special* sees each distinct address once per chunk — a dataset
+    repeats the same few links across many traces.  Returns
+    ``(retained, discarded, buggy_hops_removed)``.  O(hops in range);
+    equality with the object kernel is property-tested in
+    ``tests/test_perf_flat.py``.
 
     *dirty*, when given, collects the interface halves whose neighbor
     set actually gained a member — ``(address, FORWARD)`` when a
@@ -492,14 +461,16 @@ def _accumulate_chunk(
         retained += 1
         addresses_kept |= distinct
         pairs.update(zip(hops, hops[1:]))
-    seen.update(address for address in addresses_kept if not is_special(address))
+    # what breaks adjacency: gaps, and special-purpose addresses (asked
+    # once per distinct address of the chunk, not once per pair end)
+    blocked = {_GAP}
+    for address in addresses_kept:
+        if is_special(address):
+            blocked.add(address)
+        else:
+            seen.add(address)
     for previous, address in pairs:
-        if (
-            previous == _GAP
-            or address == _GAP
-            or is_special(previous)
-            or is_special(address)
-        ):
+        if previous in blocked or address in blocked:
             continue
         if dirty is None:
             forward.setdefault(previous, set()).add(address)
@@ -662,7 +633,7 @@ def merge_graph_bundles(
 
 
 # ----------------------------------------------------------------------
-# batched LPM resolution
+# the origin universe
 
 
 def graph_address_universe(graph) -> Set[int]:
@@ -674,16 +645,3 @@ def graph_address_universe(graph) -> Set[int]:
         for members in table.values():
             addresses.update(members)
     return addresses
-
-
-def resolve_origins(ip2as, addresses: Iterable[int]) -> Dict[int, int]:
-    """Resolve *addresses* through the LPM layers in one sorted batch.
-
-    Sorting groups trie walks through shared prefixes (warm node
-    caches) and makes the returned dict's iteration order canonical.
-    O(n log n + n · trie depth); results are exactly per-address
-    :meth:`~repro.bgp.ip2as.IP2AS.asn` calls — this is an amortization,
-    never a semantic change.
-    """
-    asn = ip2as.asn
-    return {address: asn(address) for address in sorted(set(addresses))}

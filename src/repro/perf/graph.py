@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
-from repro.net.special import default_special_registry
+from repro.net.special import RFC6890_TABLE
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
     FlatGraphBundle,
@@ -37,7 +37,6 @@ from repro.perf.flat import (
     bundle_tables,
     merge_graph_bundles,
     pack_traces,
-    special_memo,
 )
 from repro.perf.pool import Shard, fork_map, shared_payload
 from repro.traceroute.model import Trace
@@ -53,13 +52,12 @@ def _flat_graph_shard(shard: Shard) -> FlatGraphBundle:
     """
     flat: FlatTraces = shared_payload()
     start, end = shard
-    is_special = special_memo(default_special_registry().is_special)
     forward = {}
     backward = {}
     seen = set()
     universe = set()
     counts = accumulate_flat(
-        flat, start, end, forward, backward, seen, universe, is_special
+        flat, start, end, forward, backward, seen, universe, RFC6890_TABLE.covers
     )
     return bundle_tables(forward, backward, seen, universe, counts)
 
@@ -90,7 +88,7 @@ def finish_graph_from_bundles(
         InterfaceGraph(forward=forward, backward=backward),
         seen,
         universe,
-        default_special_registry().is_special,
+        RFC6890_TABLE.covers,
         obs,
     )
 

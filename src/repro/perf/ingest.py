@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.graph.neighbors import InterfaceGraph, finish_interface_graph
-from repro.net.special import default_special_registry
+from repro.net.special import RFC6890_TABLE
 from repro.obs.observer import NULL_OBS, Observability
 from repro.perf.flat import (
     FlatBuilder,
@@ -47,7 +47,6 @@ from repro.perf.flat import (
     accumulate_flat,
     concat_flat,
     hop_row,
-    special_memo,
 )
 from repro.perf.pool import Shard, fork_map, shared_payload
 from repro.robust.errors import (
@@ -388,7 +387,7 @@ def fold_graph_from_blocks(
     sanitize + build sequence: same tables (sorted-key canonical form),
     same gauges, same ``graph.built`` event.  O(total hops).
     """
-    is_special = special_memo(default_special_registry().is_special)
+    is_special = RFC6890_TABLE.covers
     forward: Dict[int, set] = {}
     backward: Dict[int, set] = {}
     seen: set = set()

@@ -27,7 +27,7 @@ from repro.core.results import MapItResult
 from repro.graph.halves import BACKWARD, FORWARD
 from repro.graph.neighbors import InterfaceGraph, accumulate_neighbors
 from repro.graph.othersides import infer_other_sides
-from repro.net.special import SpecialPurposeRegistry, default_special_registry
+from repro.net.special import RFC6890_TABLE, SpecialPurposeRegistry
 from repro.obs.observer import NULL_OBS, Observability
 from repro.org.as2org import AS2Org
 from repro.perf.flat import (
@@ -35,7 +35,6 @@ from repro.perf.flat import (
     FlatTraces,
     accumulate_flat,
     pack_traces,
-    special_memo,
 )
 from repro.rel.relationships import RelationshipDataset
 from repro.traceroute.model import Trace
@@ -62,9 +61,8 @@ class IncrementalIndex:
         self.discarded = 0
         self.buggy = 0
         self.obs = obs
-        # the memo lives exactly as long as the tables it feeds
-        self._is_special = special_memo(
-            (special or default_special_registry()).is_special
+        self._is_special = (
+            RFC6890_TABLE.covers if special is None else special.is_special
         )
         self._dirty: Set[Tuple[int, bool]] = set()
         #: universe size when the other-side table was last computed;

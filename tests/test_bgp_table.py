@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.cymru import CymruTable
 from repro.bgp.table import Announcement, CollectorDump
 from repro.net.prefix import Prefix
 
@@ -22,6 +23,35 @@ class TestAnnouncement:
     def test_from_line_malformed(self):
         with pytest.raises(ValueError):
             Announcement.from_line("192.0.2.0/24")
+
+    @pytest.mark.parametrize(
+        "token", ["-1", "0", "+5", "007", "1_0", "\u0663", "4294967296", "5.0"]
+    )
+    def test_from_line_rejects_bad_asn(self, token):
+        with pytest.raises(ValueError):
+            Announcement.from_line(f"192.0.2.0/24|64500 {token}")
+
+    def test_from_line_rejects_bad_prefix_length(self):
+        with pytest.raises(ValueError):
+            Announcement.from_line("192.0.2.0/+24|64500")
+
+    def test_from_line_asn_bounds(self):
+        parsed = Announcement.from_line("192.0.2.0/24|1 4294967295")
+        assert parsed.as_path == (1, 4294967295)
+
+
+class TestCymruLines:
+    @pytest.mark.parametrize(
+        "line", ["1.0.0.0/24|-1", "2.0.0.0/24|0", "3.0.0.0/24|+7", "4.0.0.0/24| 7",
+                 "5.0.0.0/24|07", "6.0.0.0/\u0668|7", "7.0.0.0/24|"]
+    )
+    def test_rejects_malformed_numbers(self, line):
+        with pytest.raises(ValueError):
+            CymruTable.from_lines([line])
+
+    def test_sentinel_asns_are_not_stored(self):
+        with pytest.raises(ValueError):
+            CymruTable.from_lines(["1.0.0.0/24|-1", "2.0.0.0/24|0"])
 
 
 class TestCollectorDump:

@@ -1,5 +1,7 @@
 """Tests for the IXP directory dataset."""
 
+import pytest
+
 from repro.ixp.dataset import IXPDataset, IXPRecord
 from repro.net.ipv4 import parse_address
 from repro.net.prefix import Prefix
@@ -17,6 +19,25 @@ class TestIXPRecord:
     def test_line_roundtrip_no_asn(self):
         record = IXPRecord(Prefix.parse("80.81.192.0/21"), None, "mystery")
         assert IXPRecord.from_line(record.to_line()) == record
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "80.81.192.0/21|-1|DE-CIX",  # would equal PRIVATE_AS
+            "80.81.192.0/21|-2|DE-CIX",
+            "80.81.192.0/21|0|DE-CIX",
+            "80.81.192.0/21|+6695|DE-CIX",
+            "80.81.192.0/21|06695|DE-CIX",
+            "80.81.192.0/21|6_695|DE-CIX",
+            "80.81.192.0/21| 6695|DE-CIX",
+            "80.81.192.0/21|\u0666\u0666\u0669\u0665|DE-CIX",
+            "80.81.192.0/21|4294967296|DE-CIX",
+            "80.81.192.0/+21|6695|DE-CIX",
+        ],
+    )
+    def test_from_line_rejects_malformed_numbers(self, line):
+        with pytest.raises(ValueError):
+            IXPRecord.from_line(line)
 
 
 class TestIXPDataset:

@@ -27,6 +27,28 @@ class TestPrefix:
         with pytest.raises(ValueError):
             Prefix.parse("192.0.2.0")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "10.0.0.0/\u0668",  # ARABIC-INDIC DIGIT EIGHT
+            "10.0.0.0/+8",
+            "10.0.0.0/ 8",
+            "10.0.0.0/8 ",
+            "10.0.0.0/0_8",
+            "10.0.0.0/-0",
+            "10.0.0.0/\u00b2",  # SUPERSCRIPT TWO
+            "10.0.0.0/33",
+            "10.0.0.0/8/8",
+        ],
+    )
+    def test_parse_rejects_malformed_length(self, text):
+        with pytest.raises(ValueError):
+            Prefix.parse(text)
+
+    def test_parse_length_bounds(self):
+        assert Prefix.parse("0.0.0.0/0").length == 0
+        assert Prefix.parse("192.0.2.1/32").length == 32
+
     def test_canonicalizes_host_bits(self):
         assert Prefix.parse("192.0.2.77/24") == Prefix.parse("192.0.2.0/24")
 

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from repro.graph.neighbors import accumulate_neighbors
+from repro.bgp.ip2as import IP2AS
+from repro.core.engine import Engine
+from repro.graph.neighbors import InterfaceGraph, accumulate_neighbors
 from repro.perf.flat import (
     FlatEncodeError,
     FlatTraces,
@@ -24,7 +26,6 @@ from repro.perf.flat import (
     merge_table_blob,
     bundle_tables,
     pack_traces,
-    resolve_origins,
     unpack_traces,
 )
 from repro.traceroute.model import Hop, Trace
@@ -283,19 +284,16 @@ class TestBundleCodec:
         assert encode_table(a) == encode_table(b)
 
 
-class _CountingMapper:
-    def __init__(self):
-        self.calls = []
-
-    def asn(self, address):
-        self.calls.append(address)
-        return address % 13 or None
-
-
 class TestResolveOrigins:
     def test_matches_per_address_lookups(self):
-        mapper = _CountingMapper()
-        addresses = [9, 3, 9, 26, 3, 7]
-        resolved = resolve_origins(mapper, addresses)
-        assert resolved == {a: (a % 13 or None) for a in set(addresses)}
-        assert mapper.calls == sorted(set(addresses))
+        ip2as = IP2AS.from_pairs(
+            [("0.0.0.0/0", 1), ("9.0.0.0/8", 9), ("9.9.0.0/16", 99), ("11.0.0.0/31", 11)]
+        )
+        addresses = [
+            0, 1, 0x09000000, 0x0908FFFF, 0x09090000, 0x0909FFFF, 0x090A0000,
+            0x0A000001, 0x0B000000, 0x0B000001, 0x0B000002, 0xFFFFFFFF,
+        ]
+        assert list(ip2as.resolve_sorted(addresses)) == [ip2as.asn(a) for a in addresses]
+        engine = Engine(InterfaceGraph(), ip2as)
+        assert engine.prime_origins(addresses + addresses[:3]) == len(addresses)
+        assert engine._origin_cache == {a: ip2as.asn(a) for a in addresses}

@@ -381,6 +381,36 @@ class TestStressTier:
         assert stats.peak_block_bytes * 4 < stats.stream_bytes
         assert sorted(graph.forward) == sorted(graph2.forward)
 
+    def test_streamed_stress_run_equals_serial_reference(self):
+        """The streamed columnar fold plus the table-primed engine give
+        the serial object pipeline's bytes on the one tier-1 world with
+        thousands of prefixes (2,000 Cymru /24s)."""
+        import repro
+        from repro.core.mapit import run_mapit_graph
+        from repro.sim.stress import (
+            stress_ip2as,
+            stress_org,
+            stress_relationships,
+            stress_traces,
+        )
+
+        config = stress_smoke_config(0)
+        graph, _ = fold_graph_from_blocks(stress_blocks(config))
+        streamed = run_mapit_graph(
+            graph,
+            stress_ip2as(config),
+            org=stress_org(config),
+            rel=stress_relationships(config),
+        )
+        serial = repro.run_mapit(
+            [trace for shard in stress_traces(config) for trace in shard],
+            stress_ip2as(config),
+            org=stress_org(config),
+            rel=stress_relationships(config),
+        )
+        assert streamed.inferences
+        assert streamed.to_json().encode() == serial.to_json().encode()
+
     def test_stress_sweep_cell_reports_stream_accounting(self, tmp_path):
         grid = SweepGrid.build(["stress-smoke"], [0], [0.5])
         metrics = Metrics()
