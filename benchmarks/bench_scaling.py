@@ -220,8 +220,9 @@ def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
     :func:`_table_smoke`).
 
     Times the end-to-end pipeline (columnar load + inference) best-of-
-    *repeats* for each worker count, asserts byte-identity, and returns
-    a non-zero exit code when parallel overhead exceeds the budget.
+    *repeats* for each worker count, the two counts interleaved, asserts
+    byte-identity, and returns a non-zero exit code when parallel
+    overhead exceeds the budget.
     """
     import tempfile
     from pathlib import Path
@@ -233,15 +234,15 @@ def _smoke(tolerance: float, seed: int, repeats: int = 3) -> int:
     with tempfile.TemporaryDirectory(prefix="mapit-smoke-") as tmp:
         root = save_scenario(dense_scenario(seed=seed), Path(tmp) / "ds")
         outputs = {}
-        best = {}
-        for jobs in (1, 4):
-            best[jobs] = float("inf")
-            for _ in range(repeats):
+        best = {1: float("inf"), 4: float("inf")}
+        # interleave the two (1, 4, 1, 4, ...) so host drift hits both alike
+        for _ in range(repeats):
+            for jobs in (1, 4):
                 start = time.perf_counter()
                 bundle = load_bundle(root, jobs=jobs)
                 result = bundle.run_mapit(config, jobs=jobs)
                 best[jobs] = min(best[jobs], time.perf_counter() - start)
-            outputs[jobs] = result.to_json()
+                outputs[jobs] = result.to_json()
     print(f"smoke: dense preset seed {seed}, {os.cpu_count()} CPU(s), best of {repeats}")
     for jobs in (1, 4):
         print(f"  jobs={jobs}  total {best[jobs]:.3f}s")

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 from repro.core.engine import Engine
 from repro.core.state import DirectInference, IndirectInference
-from repro.graph.halves import BACKWARD, FORWARD, Half, half_fields
+from repro.graph.halves import BACKWARD, FORWARD, half_fields
 
 #: Optional hook fired after named sub-stages (used for Fig 7).
 StageHook = Callable[[str], None]
@@ -37,6 +37,8 @@ class AddStepReport:
     dual_resolved: int = 0
     inverse_removed: int = 0
     uncertain_marked: int = 0
+    recounted: int = 0
+    reused: int = 0
 
 
 def add_step(engine: Engine, hook: Optional[StageHook] = None) -> AddStepReport:
@@ -47,15 +49,13 @@ def add_step(engine: Engine, hook: Optional[StageHook] = None) -> AddStepReport:
     obs = engine.obs
     state.inferred_this_step = set()
     report = AddStepReport()
-    with obs.span("add/candidates"):
-        candidates = engine.candidate_halves()
     first_pass = True
     while True:
         report.passes += 1
         if obs.enabled:
             obs.event("add.pass.start", **{"pass": report.passes})
         with obs.span("add/direct"):
-            new_directs = _direct_pass(engine, candidates)
+            new_directs = _direct_pass(engine, report)
         report.direct_added += len(new_directs)
         if first_pass and hook is not None:
             hook("direct")
@@ -100,122 +100,54 @@ def add_step(engine: Engine, hook: Optional[StageHook] = None) -> AddStepReport:
             uncertain_marked=report.uncertain_marked,
         )
         obs.inc("mapit.add.passes", report.passes)
+        obs.inc("mapit.add.recounted", report.recounted)
+        obs.inc("mapit.add.reused", report.reused)
         obs.inc("mapit.inference.direct_added", report.direct_added)
         obs.inc("mapit.inference.indirect_added", report.indirect_added)
     return report
 
 
-def _direct_pass(engine: Engine, candidates: List[Half]) -> List[DirectInference]:
-    """Alg 2: one greedy pass over the interface halves."""
-    if engine.incremental:
-        return _direct_pass_incremental(engine, candidates)
-    state = engine.state
-    f = engine.config.f
-    tracing = engine.obs.tracer.enabled
-    added: List[DirectInference] = []
-    for half in candidates:
-        if half in state.direct or half in state.inferred_this_step:
-            continue
-        plurality = engine.plurality(half)
-        if plurality is None or not plurality.satisfies_f(f):
-            continue
-        previous = engine.half_asn(half)
-        if engine.canonical(previous) == plurality.canonical_as:
-            continue
-        inference = DirectInference(
-            half=half,
-            local_as=previous,
-            remote_as=plurality.member_as,
-        )
-        state.add_direct(inference)
-        added.append(inference)
-        if tracing:
-            engine.obs.event(
-                "inference.added",
-                kind="direct",
-                rule="direct",
-                local_as=previous,
-                remote_as=plurality.member_as,
-                count=plurality.count,
-                total=plurality.total,
-                **half_fields(half),
-            )
-    return added
+def _direct_pass(engine: Engine, report: AddStepReport) -> List[DirectInference]:
+    """Alg 2: one greedy pass over the candidate halves.
 
-
-def _hot_halves(engine: Engine) -> set:
-    """Halves whose Alg 2 test can read a visible (inferred) mapping.
-
-    A half ``(a, d)`` tallies the halves ``(n, not d)`` for each
-    neighbor ``n`` of ``(a, d)``, plus its own visible entry.  Inverting
-    that: an overridden half ``(n, e)`` influences itself and every
-    ``(a, not e)`` with ``a`` in ``neighbors(n, e)``.  Any half outside
-    this set computes exactly its base (original-mapping) decision.
-    """
-    graph = engine.graph
-    hot = set(engine.state.visible)
-    for address, direction in list(hot):
-        for neighbor in graph.neighbors(address, direction):
-            hot.add((neighbor, not direction))
-    return hot
-
-
-def _direct_pass_incremental(
-    engine: Engine, candidates: List[Half]
-) -> List[DirectInference]:
-    """Alg 2 pass restricted to the dirty region (docs/SERVE.md).
-
-    Only three kinds of half can deviate from a memoized no-inference
-    outcome: halves whose tally can see a visible override (*hot*),
-    halves whose neighbor-set membership changed since the memo was
-    written (*stale*), and halves whose memo says an inference fires
-    (replayed from the memo without recounting).  Everything else is
-    skipped — its recomputation would provably land on the memoized
-    None.  The work list is iterated in the same sorted order the full
-    pass uses, so the state trajectory is byte-identical.
+    Only the halves whose evidence changed since their last tally are
+    recounted (:meth:`Engine.pass_work`); every other half replays
+    its cached positive decision, and the rest provably decide nothing.
+    The work is visited in the sorted order a full pass uses, so the
+    state trajectory is byte-identical to recounting every candidate.
+    A pending half skipped here (already inferred this add step) stays
+    pending until it is evaluated.
     """
     state = engine.state
     f = engine.config.f
     tracing = engine.obs.tracer.enabled
-    hot = _hot_halves(engine)
-    recount = hot | engine._memo_stale
-    work = recount | engine._memo_positive
-    if len(work) < len(candidates):
-        work_list = sorted(work & engine._candidate_set)
-    else:
-        work_list = candidates
+    work, pending = engine.pass_work()
+    decisions = engine.decisions
+    carry = set()
     added: List[DirectInference] = []
-    for half in work_list:
+    for half in work:
+        recount = pending is None or half in pending
         if half in state.direct or half in state.inferred_this_step:
+            if recount:
+                carry.add(half)
             continue
-        if half in recount:
-            decision = None
+        if recount:
+            report.recounted += 1
             plurality = engine.plurality(half)
-            if plurality is not None and plurality.satisfies_f(f):
-                previous = engine.half_asn(half)
-                if engine.canonical(previous) != plurality.canonical_as:
-                    decision = (
-                        previous,
-                        plurality.member_as,
-                        plurality.count,
-                        plurality.total,
-                    )
-            if half not in hot:
-                # Computed against original mappings only: a valid base
-                # decision, safe to memoize for future passes and runs.
-                engine.memoize_base(half, decision)
-            if decision is None:
+            if plurality is None or not plurality.satisfies_f(f):
+                decisions.pop(half, None)
                 continue
+            previous = engine.half_asn(half)
+            if engine.canonical(previous) == plurality.canonical_as:
+                decisions.pop(half, None)
+                continue
+            decision = (previous, plurality.member_as, plurality.count, plurality.total)
+            decisions[half] = decision
         else:
-            decision = engine._base_memo[half]
-            if decision is None:  # pragma: no cover - positive set invariant
-                continue
+            report.reused += 1
+            decision = decisions[half]
         local_as, remote_as, count, total = decision
-        inference = DirectInference(
-            half=half,
-            local_as=local_as,
-            remote_as=remote_as,
-        )
+        inference = DirectInference(half=half, local_as=local_as, remote_as=remote_as)
         state.add_direct(inference)
         added.append(inference)
         if tracing:
@@ -229,6 +161,7 @@ def _direct_pass_incremental(
                 total=total,
                 **half_fields(half),
             )
+    engine.finish_pass(carry)
     return added
 
 
@@ -382,7 +315,7 @@ def _fix_inverse_inferences(engine: Engine) -> tuple:
         remote = engine.canonical(backward.remote_as)
         # b appears in N_F(a) exactly when a appears in N_B(b).
         matching = []
-        for predecessor in sorted(engine.graph.n_backward(half[0])):
+        for predecessor in sorted(engine.graph.backward.get(half[0], ())):
             forward_half = (predecessor, FORWARD)
             forward = state.direct.get(forward_half)
             if forward is None:

@@ -20,7 +20,6 @@ Counting rules, from the paper:
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -72,6 +71,10 @@ class Plurality:
         return 2 * self.count > self.total
 
 
+#: A positive Alg 2 outcome: ``(local_as, remote_as, count, total)``.
+Decision = Tuple[int, int, int, int]
+
+
 class Engine:
     """Bound context for one MAP-IT run (the state Alg 1 threads
     through its add/remove steps): the interface graph, the IP2AS /
@@ -95,21 +98,28 @@ class Engine:
         self.obs = obs if obs is not None else NULL_OBS
         self.state = MapItState()
         self._origin_cache: Dict[int, int] = {}
-        # Incremental (dirty-region) machinery, enabled by
-        # :meth:`enable_incremental` for the serve daemon.  ``_base_memo``
-        # caches, per candidate half, the outcome of the Alg 2 direct test
-        # evaluated against *original* BGP mappings only (the iteration-1
-        # pass-1 condition): either None (no inference) or the
-        # ``(local_as, remote_as, count, total)`` it would add.  The memo
-        # stays valid until the half's own neighbor-set membership changes,
-        # because the base test reads only that set and static datasets
-        # (ip2as / org / config).  ``_memo_positive`` indexes the non-None
-        # entries; ``_memo_stale`` the halves whose memo must be refreshed.
-        self._base_memo: Optional[Dict[Half, Optional[Tuple[int, int, int, int]]]] = None
-        self._memo_positive: Set[Half] = set()
-        self._memo_stale: Set[Half] = set()
-        self._candidate_list: Optional[List[Half]] = None
-        self._candidate_set: Set[Half] = set()
+        # The run's Alg 2 decision table (docs/SERVE.md).  A half's direct
+        # test reads only its neighbor set, its own snapshot entry and its
+        # neighbors' snapshot entries (§4.4.5), so an outcome computed
+        # against ``_decided_on`` — the snapshot the last direct pass read —
+        # is reused until one of those inputs changes.  ``decisions``
+        # holds the positive outcomes (updated in place by the direct
+        # pass); ``_pending`` the candidate halves that must be recounted,
+        # or None when every candidate must be.
+        self.decisions: Dict[Half, Decision] = {}
+        self._decided_on: Dict[Half, int] = {}
+        self._pending: Optional[Set[Half]] = None
+        #: the candidate addresses per direction (backward, forward),
+        #: built by the first pass of a run that recounts every candidate
+        #: and grown by :meth:`invalidate_halves`
+        self._candidates: Tuple[Set[int], Set[int]] = (set(), set())
+        # Serve mode (:meth:`enable_incremental`) also keeps, across runs,
+        # the positive decisions of the last pass that read an empty
+        # snapshot (``_base``: original mappings only) and the candidate
+        # halves whose neighbor set changed since (``_stale``).
+        self._incremental = False
+        self._base: Optional[Dict[Half, Decision]] = None
+        self._stale: Set[Half] = set()
 
     # -- mappings -----------------------------------------------------------
 
@@ -150,74 +160,101 @@ class Engine:
             return asn
         return self.org.canonical(asn)
 
-    # -- incremental (dirty-region) mode -------------------------------------
-
-    @property
-    def incremental(self) -> bool:
-        """True once :meth:`enable_incremental` armed the memo tables."""
-        return self._base_memo is not None
+    # -- the decision table (docs/SERVE.md) -----------------------------------
 
     def enable_incremental(self) -> None:
-        """Arm the dirty-region machinery (docs/SERVE.md).
+        """Keep base decisions across runs for the serve daemon.
 
-        After this, :meth:`candidate_halves` is cached and maintained by
-        :meth:`invalidate_halves`, and the add step's direct pass skips
-        halves whose memoized base decision is still valid.  Results are
-        byte-identical to non-incremental runs — the memo only elides
-        recomputation whose inputs are provably unchanged.
+        After this, each run starts its decision table from the base
+        decisions and recounts only the halves :meth:`invalidate_halves`
+        marked stale (plus those its snapshot deltas name).  Results are
+        byte-identical to a run that recounts everything.
         """
-        if self._base_memo is None:
-            self._base_memo = {}
+        self._incremental = True
 
     def reset_incremental(self) -> None:
-        """Drop every memo and the candidate cache (still incremental).
+        """Drop the base decisions (still incremental).
 
-        Used after wholesale graph replacement (checkpoint restore):
-        the next run rebuilds the caches from the live tables, exactly
-        like the first incremental run did.
+        Used after wholesale graph replacement (checkpoint restore): the
+        next run recounts every candidate, like the first one did.
         """
-        if self._base_memo is None:
-            return
-        self._base_memo = {}
-        self._memo_positive = set()
-        self._memo_stale = set()
-        self._candidate_list = None
-        self._candidate_set = set()
+        self._base = None
+        self._stale = set()
 
     def invalidate_halves(self, halves: Iterable[Half]) -> int:
         """Mark *halves* structurally dirty: their neighbor-set
-        membership changed, so their memoized base decisions are void
-        and their candidate eligibility must be re-judged.  Returns how
-        many candidate halves were actually invalidated.
+        membership changed, so their base decisions are void.  Returns
+        how many candidate halves were invalidated.
         """
-        if self._base_memo is None:
+        if self._base is None:
             return 0
-        minimum = self.config.min_neighbors
         stale = 0
+        minimum = self.config.min_neighbors
         for half in halves:
-            self._base_memo.pop(half, None)
-            self._memo_positive.discard(half)
-            if self._candidate_list is None:
-                continue
-            if half in self._candidate_set:
-                self._memo_stale.add(half)
-                stale += 1
-            elif len(self.graph.neighbors(half[0], half[1])) >= minimum:
-                self._candidate_set.add(half)
-                insort(self._candidate_list, half)
-                self._memo_stale.add(half)
+            self._base.pop(half, None)
+            address, direction = half
+            table = self.graph.forward if direction else self.graph.backward
+            if len(table.get(address, ())) >= minimum:
+                self._candidates[direction].add(address)
+                self._stale.add(half)
                 stale += 1
         return stale
 
-    def memoize_base(self, half: Half, decision: Optional[Tuple[int, int, int, int]]) -> None:
-        """Record the base (original-mapping) direct-test outcome for
-        *half* and clear its stale mark."""
-        self._base_memo[half] = decision
-        self._memo_stale.discard(half)
-        if decision is None:
-            self._memo_positive.discard(half)
+    def seed_decisions(self) -> None:
+        """Start a run's decision table: from the base decisions with
+        the stale halves pending when serve mode has them, otherwise
+        with every candidate pending."""
+        self._decided_on = {}
+        if self._base is None:
+            self.decisions = {}
+            self._pending = None
         else:
-            self._memo_positive.add(half)
+            self.decisions = dict(self._base)
+            self._pending = set(self._stale)
+
+    def pass_work(self) -> Tuple[List[Half], Optional[Set[Half]]]:
+        """The halves the next direct pass visits, sorted, and the
+        pending set among them (None: every candidate is pending).
+
+        Folds the snapshot delta since the last direct pass into the
+        pending set first.  A changed half ``(n, e)`` is pending itself,
+        and so is every half that tallies it: ``(a, not e)`` for ``a`` in
+        its neighbor set (``a`` follows ``n`` exactly when ``n`` precedes
+        ``a``).  The pass visits the pending halves and the cached
+        positives; every other candidate provably decides nothing.
+        """
+        visible = self.state.visible
+        previous, self._decided_on = self._decided_on, visible
+        pending = self._pending
+        if pending is None:
+            with self.obs.span("add/candidates"):
+                work = self.candidate_halves()
+            self._candidates = (
+                {address for address, direction in work if not direction},
+                {address for address, direction in work if direction},
+            )
+            return work, None
+        forward, backward = self.graph.forward, self.graph.backward
+        candidates = self._candidates
+        # Only set insertions follow, so the visiting order cannot leak.
+        changed = {half for half, _ in visible.items() ^ previous.items()}
+        for half in changed:
+            address, direction = half
+            if address in candidates[direction]:
+                pending.add(half)
+            members = (forward if direction else backward).get(address, set())
+            for reader in candidates[not direction] & members:
+                pending.add((reader, not direction))
+        return sorted(pending.union(self.decisions)), pending
+
+    def finish_pass(self, carry: Set[Half]) -> None:
+        """Close a direct pass: *carry* holds the pending halves it
+        skipped, which stay pending until they are evaluated.  A pass
+        that read an empty snapshot refreshes the serve base."""
+        self._pending = carry
+        if self._incremental and not self._decided_on:
+            self._base = dict(self.decisions)
+            self._stale = set(carry)
 
     # -- candidates -----------------------------------------------------------
 
@@ -227,12 +264,7 @@ class Engine:
 
         Sorted for determinism; the algorithm's results do not depend
         on the order (section 4.4.5) but reproducible diagnostics do.
-        In incremental mode the list is computed once and maintained by
-        :meth:`invalidate_halves` — eligibility is monotone there
-        because serve ingestion only ever grows neighbor sets.
         """
-        if self._candidate_list is not None:
-            return self._candidate_list
         minimum = self.config.min_neighbors
         halves: List[Half] = []
         for address, members in self.graph.forward.items():
@@ -242,10 +274,6 @@ class Engine:
             if len(members) >= minimum:
                 halves.append((address, BACKWARD))
         halves.sort()
-        if self._base_memo is not None:
-            self._candidate_list = halves
-            self._candidate_set = set(halves)
-            self._memo_stale = set(halves)
         return halves
 
     # -- counting -----------------------------------------------------------
@@ -259,7 +287,9 @@ class Engine:
         ``member_counts[group]`` tallies actual ASes inside it.
         """
         address, forward = half
-        neighbors = self.graph.neighbors(address, forward)
+        neighbors = (self.graph.forward if forward else self.graph.backward).get(
+            address, ()
+        )
         neighbor_direction = not forward
         group_counts: Dict[int, int] = {}
         member_counts: Dict[int, Dict[int, int]] = {}

@@ -106,6 +106,7 @@ class MapIt:
             seen_fingerprints = {engine.state.fingerprint()}
             iterations = 0
         engine.state.refresh_visible()
+        engine.seed_decisions()
         converged = False
         while iterations < config.max_iterations:
             iterations += 1
@@ -194,12 +195,12 @@ class MapIt:
         an empty :class:`~repro.core.state.MapItState` — iteration
         counts, diagnostics, and the uncertain log are trajectory
         properties, so only the batch trajectory reproduces the batch
-        result byte-for-byte — but the engine keeps its memo of base
-        direct-pass decisions, so each pass touches only the frontier:
-        hot halves (those that can see a visible override), stale halves
-        (structurally dirty), and memoized positives.  The returned
-        result is byte-identical to a fresh batch run over the same
-        graph.
+        result byte-for-byte — but the engine keeps its base decisions
+        (Alg 2 outcomes against original mappings), so the first pass
+        recounts only the dirty halves and every later pass only the
+        halves whose snapshot inputs changed since their last tally.
+        The returned result is byte-identical to a fresh batch run over
+        the same graph.
         """
         engine = self.engine
         engine.enable_incremental()

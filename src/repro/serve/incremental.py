@@ -4,7 +4,7 @@
 mutable neighbor tables an arriving trace folds into (via the columnar
 :func:`~repro.perf.flat.accumulate_flat` kernel, which reports exactly
 which interface halves gained a member) and a persistent
-:class:`~repro.core.mapit.MapIt` whose engine memoizes base direct-pass
+:class:`~repro.core.mapit.MapIt` whose engine keeps base direct-pass
 decisions across quiesces.  A quiesce refreshes the other-side table if
 the address universe grew, then calls
 :meth:`~repro.core.mapit.MapIt.run_incremental` with the accumulated
@@ -150,8 +150,8 @@ class IncrementalIndex:
         the other-side table is recomputed from the (possibly grown)
         address universe exactly as :func:`finish_interface_graph`
         would, and the multipass restarts from an empty state with the
-        engine's base-decision memo confining recomputation to the
-        frontier (docs/SERVE.md).
+        engine's decision table confining recounts to the halves whose
+        evidence changed (docs/SERVE.md).
         """
         if self._other_sides_at != len(self.universe):
             with self.obs.span("serve/other_sides"):
@@ -176,8 +176,8 @@ class IncrementalIndex:
         """The picklable fold state a checkpoint captures.
 
         Inference state is deliberately absent: it is a pure function
-        of the graph and is recomputed (memo cold) on the first quiesce
-        after a restore.
+        of the graph and is recomputed (every half recounted) on the
+        first quiesce after a restore.
         """
         return {
             "forward": self.forward,
@@ -193,8 +193,9 @@ class IncrementalIndex:
         """Adopt fold state captured by :meth:`export_state`.
 
         The dicts are updated in place so the engine's graph alias
-        stays valid; memo and dirty tracking reset — the next quiesce
-        recomputes from scratch, which is exactly the batch trajectory.
+        stays valid; base decisions and dirty tracking reset — the next
+        quiesce recomputes from scratch, which is exactly the batch
+        trajectory.
         """
         self.forward.clear()
         self.forward.update(state["forward"])
